@@ -44,9 +44,9 @@ main-memory backends via ``--memory``: ``dram`` (default),
 or ``nvm:write_mult=4`` (simple fixed asymmetry) -- see
 :class:`~repro.mem.spec.BackendSpec`.  ``--kernel`` selects the
 batch-replay driver the same way: ``dict`` (default, the reference
-dict driver), ``native`` (compiled SoA kernel), ``numba``, or ``auto``
--- all bit-identical, falling back per replay on unsupported shapes
-(see :class:`~repro.kernels.spec.KernelSpec`).
+dict driver), ``native`` (compiled SoA kernel), or ``auto`` (native if
+it builds, else dict) -- all bit-identical, falling back per replay on
+unsupported shapes (see :class:`~repro.kernels.spec.KernelSpec`).
 """
 
 from __future__ import annotations
@@ -72,7 +72,13 @@ from repro.trace.workload import WorkloadSpec
 
 
 def _scale_from(args: argparse.Namespace) -> ExperimentScale:
-    total_factor = max(2, args.accesses // args.llc_lines)
+    minimum = 2 * args.llc_lines
+    if args.accesses < minimum:
+        raise ValueError(
+            f"--accesses {args.accesses} is below the minimum trace of "
+            f"{minimum} (2 x --llc-lines {args.llc_lines})"
+        )
+    total_factor = args.accesses // args.llc_lines
     warmup_factor = max(1, int(total_factor * args.warmup_frac))
     return ExperimentScale(
         llc_lines=args.llc_lines,
@@ -82,16 +88,23 @@ def _scale_from(args: argparse.Namespace) -> ExperimentScale:
     )
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
 def _add_scale_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--llc-lines",
-        type=int,
+        type=_positive_int,
         default=2048,
         help="LLC capacity in 64 B lines (default 2048 = 128 KiB)",
     )
     parser.add_argument(
         "--accesses",
-        type=int,
+        type=_positive_int,
         default=65536,
         help="total trace length in LLC accesses",
     )
@@ -154,9 +167,9 @@ def _add_kernel_option(parser: argparse.ArgumentParser) -> None:
         default="dict",
         help=(
             "batch-replay kernel name or KernelSpec string: 'dict' "
-            "(default, the reference driver), 'native', 'numba', or "
-            "'auto'.  Non-default kernels are bit-identical and fall "
-            "back per replay on unsupported shapes"
+            "(default, the reference driver), 'native', or 'auto' "
+            "(native if it builds, else dict).  Non-default kernels are "
+            "bit-identical and fall back per replay on unsupported shapes"
         ),
     )
 

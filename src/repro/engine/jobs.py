@@ -3,16 +3,18 @@
 A job is a frozen, picklable description of one unit of work:
 
 * :class:`RunJob` -- one (benchmark, policy) pair at an
-  :class:`~repro.experiments.runner.ExperimentScale`, optionally with a
+  :class:`~repro.sim.scale.ExperimentScale`, optionally with a
   cache-geometry override (the sensitivity sweeps re-size the cache
   while keeping the reference-scale trace).
 * :class:`MixJob` -- one (mix, policy) 4-core shared-LLC run.
 
 Each job knows its content-addressed :meth:`key`, how to
 :meth:`execute` (in-process or inside a worker), and how to
-``encode``/``decode`` its result for the on-disk store.  Simulation
-modules are imported lazily inside ``execute`` so the engine package
-never creates an import cycle with ``repro.experiments``.
+``encode``/``decode`` its result for the on-disk store.  The engine
+sits above ``repro.experiments`` and ``repro.sim``: ``ExperimentScale``
+comes from :mod:`repro.sim.scale` at the top, while the experiment
+harnesses are imported where they are used, so a bare
+``import repro.engine`` does not load ``repro.experiments``.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from repro.cache.policyspec import PolicySpec
 from repro.engine.keys import job_key, scale_payload
 from repro.kernels.spec import KernelSpec
 from repro.mem.spec import BackendSpec
+from repro.sim.scale import ExperimentScale
 from repro.trace.workload import WorkloadSpec
 
 
@@ -66,7 +69,6 @@ def _kernel_is_default(kernel: Union[str, KernelSpec]) -> bool:
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cpu.core import RunResult
     from repro.experiments.multicore_exp import MixResult
-    from repro.experiments.runner import ExperimentScale
 
 
 @dataclass(frozen=True)
@@ -80,7 +82,7 @@ class RunJob:
 
     benchmark: Union[str, WorkloadSpec]
     policy: Union[str, PolicySpec]
-    scale: "ExperimentScale"
+    scale: ExperimentScale
     llc_lines: Optional[int] = None  # geometry override (sweeps)
     ways: Optional[int] = None
     mode: str = "llc"
@@ -187,8 +189,6 @@ class RunJob:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "RunJob":
-        from repro.experiments.runner import ExperimentScale
-
         return cls(
             benchmark=data["benchmark"],
             policy=data["policy"],
@@ -207,7 +207,7 @@ class MixJob:
 
     mix: str
     policy: Union[str, PolicySpec]
-    per_core: "ExperimentScale"
+    per_core: ExperimentScale
     num_cores: int = 4
     memory: Union[str, BackendSpec] = "dram"
     kernel: Union[str, KernelSpec] = "dict"
@@ -280,8 +280,6 @@ class MixJob:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "MixJob":
-        from repro.experiments.runner import ExperimentScale
-
         return cls(
             mix=data["mix"],
             policy=data["policy"],

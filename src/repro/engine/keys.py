@@ -2,7 +2,7 @@
 
 A job key is the SHA-256 of a canonical-JSON payload describing
 *everything that determines the result*: benchmark, policy, the full
-:class:`~repro.experiments.runner.ExperimentScale` (which carries the
+:class:`~repro.sim.scale.ExperimentScale` (which carries the
 trace seed), any cache-geometry override, and a digest of the simulator
 source code.  Same key -> same result, so the on-disk store can return a
 cached :class:`~repro.cpu.core.RunResult` without re-simulating; any

@@ -1,12 +1,12 @@
 """Typed sweep specification: one object that *is* a sweep.
 
 A :class:`SweepSpec` describes a full grid -- workloads (or multicore
-mixes) x policies at one :class:`~repro.experiments.runner
-.ExperimentScale`, under one memory backend and batch kernel -- and
-replaces the ad-hoc kwargs the ``repro sweep`` command used to thread
-around.  The same object is the wire format of the sweep service's
-``POST /sweep`` endpoint (``to_dict``/``from_dict`` round-trip exactly)
-and the unit a :class:`~repro.service.queue.JobQueue` transports.
+mixes) x policies at one :class:`~repro.sim.scale.ExperimentScale`,
+under one memory backend and batch kernel -- and replaces the ad-hoc
+kwargs the ``repro sweep`` command used to thread around.  The same
+object is the wire format of the sweep service's ``POST /sweep``
+endpoint (``to_dict``/``from_dict`` round-trip exactly) and the unit a
+:class:`~repro.service.queue.JobQueue` transports.
 
 Identity: :meth:`journal_payload` reproduces, byte for byte, the
 payload the pre-SweepSpec CLI built inline, so :meth:`sweep_id` (and
@@ -18,22 +18,14 @@ pinned by ``tests/data/spec_fixture.json``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 from repro.engine.jobs import MixJob, RunJob
 from repro.engine.keys import job_key, scale_payload
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.experiments.runner import ExperimentScale
+from repro.sim.scale import ExperimentScale
 
 #: the sweep modes (single-core grid vs. multiprogrammed mixes).
 SWEEP_MODES = ("single", "multicore")
-
-
-def _default_scale():
-    from repro.experiments.runner import ExperimentScale
-
-    return ExperimentScale()
 
 
 @dataclass(frozen=True)
@@ -44,7 +36,7 @@ class SweepSpec:
     workloads: Tuple[str, ...] = ()
     mixes: Tuple[str, ...] = ()
     policies: Tuple[str, ...] = ()
-    scale: "ExperimentScale" = field(default_factory=_default_scale)
+    scale: ExperimentScale = field(default_factory=ExperimentScale)
     memory: str = "dram"
     kernel: str = "dict"
 
@@ -175,14 +167,12 @@ class SweepSpec:
             raise ValueError(
                 f"sweep spec must be an object, got {type(payload).__name__}"
             )
-        from repro.experiments.runner import ExperimentScale
-
         scale_data = payload.get("scale", {})
         if not isinstance(scale_data, dict):
             raise ValueError("sweep scale must be an object")
         try:
             scale = ExperimentScale(**scale_data)
-        except TypeError as error:
+        except (TypeError, ValueError) as error:
             raise ValueError(f"bad sweep scale: {error}") from None
         return cls(
             mode=payload.get("mode", "single"),

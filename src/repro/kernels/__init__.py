@@ -1,18 +1,19 @@
-"""Struct-of-arrays batch kernels for the stamped replay fast path.
+"""Struct-of-arrays C kernel for the stamped replay fast path.
+
+One compiled backend, ``native``; the dict-driven batch drivers in
+:mod:`repro.cache.cache` are the reference and the fallback.
 
 Public surface:
 
 - :class:`KernelSpec` -- canonical ``"name:key=value"`` kernel selector
   (mirrors ``PolicySpec``/``BackendSpec``), threaded through
   ``SimulationSpec``, ``RunJob`` and the CLI ``--kernel`` flag.
-- :class:`KernelRuntime` / :func:`attach_kernel` -- resolve a spec into
-  a backend and hang it on a cache (or every cache a hierarchy or
+- :class:`KernelRuntime` / :func:`attach_kernel` -- load the native
+  library for a spec and hang it on a cache (or every cache a hierarchy or
   shared-LLC system owns).  All ``try_*`` entry points return ``None``
   when a configuration is outside the kernel's supported matrix, and
   the dict-driven reference driver runs instead -- the kernels are an
   accelerator, never a semantic fork.
-- :func:`sharded_replay` -- multi-process single-trace replay through
-  the sweep engine (untimed pure-LRU only, where sets are independent).
 - availability probes and cache resets for tests.
 """
 
@@ -24,15 +25,7 @@ from repro.kernels.build import (
     native_available,
     reset_native_cache,
 )
-from repro.kernels.numba_backend import numba_available, reset_numba_cache
 from repro.kernels.runner import KernelRuntime, attach_kernel
-from repro.kernels.sharded import (
-    ShardJob,
-    ShardResult,
-    plan_shards,
-    shard_eligible,
-    sharded_replay,
-)
 from repro.kernels.spec import DEFAULT_KERNEL, KERNEL_NAMES, KernelSpec
 
 __all__ = [
@@ -40,18 +33,11 @@ __all__ = [
     "KERNEL_NAMES",
     "KernelRuntime",
     "KernelSpec",
-    "ShardJob",
-    "ShardResult",
     "attach_kernel",
     "cache_dir",
     "compile_native",
     "find_compiler",
     "load_native",
     "native_available",
-    "numba_available",
-    "plan_shards",
     "reset_native_cache",
-    "reset_numba_cache",
-    "shard_eligible",
-    "sharded_replay",
 ]

@@ -1,4 +1,4 @@
-"""Kernel runtime: gate, gather, run native/numba kernels, scatter back.
+"""Kernel runtime: gate, gather, run the native kernel, scatter back.
 
 A :class:`KernelRuntime` is attached to a
 :class:`~repro.cache.cache.SetAssociativeCache` as its ``kernel``
@@ -11,7 +11,7 @@ result is bit-identical to the reference driver by construction (same
 operation order, same IEEE arithmetic); the conformance suite and the
 verify fuzzers hold that equivalence.
 
-Supported configurations (the ``native`` backend):
+Supported configurations:
 
 * recency-stamped plans (``plan.stamp_policy``) with no full observer,
   no bypass, no evict training, no eviction listener, no prefetches in
@@ -23,9 +23,6 @@ Supported configurations (the ``native`` backend):
   Python through a callback at every epoch boundary);
 * timing via the flat :class:`~repro.cpu.timing.TimingModel` (no
   request-level memory backend).
-
-The ``numba`` backend covers the untimed pure-LRU subset only (see
-:mod:`repro.kernels.pyloop`); anything else falls back.
 """
 
 from __future__ import annotations
@@ -371,7 +368,6 @@ class KernelRuntime:
         self.spec = spec
         self._resolved = False
         self._native = None
-        self._numba = None
         #: why the most recent ``try_*`` dispatch fell back to the dict
         #: driver (None while every dispatch ran on a kernel).  Surfaced
         #: by ``repro run`` and logged by the bench harness, so a
@@ -394,24 +390,14 @@ class KernelRuntime:
     def _resolve(self):
         if not self._resolved:
             self._resolved = True
-            name = self.spec.name
-            if name in ("native", "auto"):
+            if self.spec.name in ("native", "auto"):
                 self._native = load_native()
-            if name == "numba" or (name == "auto" and self._native is None):
-                from repro.kernels import numba_backend
-
-                self._numba = numba_backend.load()
         return self._native
 
     @property
     def active_backend(self) -> Optional[str]:
-        """Which backend actually runs: 'native', 'numba', or None."""
-        self._resolve()
-        if self._native is not None:
-            return "native"
-        if self._numba is not None:
-            return "numba"
-        return None
+        """Which backend actually runs: 'native', or None."""
+        return "native" if self._resolve() is not None else None
 
     # -- single-cache replay ----------------------------------------------
     def try_run_trace(
@@ -422,7 +408,7 @@ class KernelRuntime:
             return None
         lib = self._resolve()
         if lib is None:
-            return self._try_pyloop(cache, decoded, start, stop, timing, core)
+            return self._fallback("no compiled kernel backend available")
         if timing is not None and getattr(timing, "backend", None) is not None:
             return self._fallback("memory timing backend is active")
         streams = soa.stream_arrays(decoded)
@@ -836,86 +822,6 @@ class KernelRuntime:
             for core in range(num_cores)
         ]
         return system._collect(traces, counts, frozen)
-
-    # -- numba fallback ----------------------------------------------------
-    def _try_pyloop(
-        self, cache, decoded, start, stop, timing, core
-    ) -> Optional[int]:
-        """The numba backend: untimed pure-LRU replay only."""
-        if self._numba is None or np is None:
-            return self._fallback("no compiled kernel backend available")
-        if timing is not None:
-            return self._fallback("numba backend is untimed")
-        blocked = _plan_block_reason(cache)
-        if blocked is not None:
-            return self._fallback(blocked)
-        if not cache.plan.min_stamp_victim:
-            return self._fallback("numba backend supports plain LRU only")
-        if cache._on_sample is not None or cache._epoch_period:
-            return self._fallback("numba backend supports plain LRU only")
-        streams = soa.stream_arrays(decoded)
-        if streams is None:
-            return self._fallback("decoded trace is not array-backed")
-        image = soa.gather_lines(cache)
-        if image is None:
-            return self._fallback("cache line state not SoA-representable")
-        set_arr, tag_arr, write_arr, _ = streams
-        try:
-            stats_arr = np.array(
-                [
-                    cache.stats.read_hits,
-                    cache.stats.write_hits,
-                    cache.stats.read_misses,
-                    cache.stats.write_misses,
-                    cache.stats.evictions,
-                    cache.stats.dirty_evictions,
-                    cache.stats.writebacks,
-                    cache.stats.evicted_read_only,
-                    cache.stats.evicted_write_only,
-                    cache.stats.evicted_read_write,
-                ],
-                dtype=np.int64,
-            )
-            clock = self._numba(
-                set_arr,
-                tag_arr,
-                write_arr,
-                start,
-                stop,
-                cache.ways,
-                core,
-                cache.plan.stamp_policy._clock,
-                image.tag,
-                image.stamp,
-                image.owner,
-                image.valid,
-                image.dirty,
-                image.read_seen,
-                image.write_seen,
-                image.filled,
-                image.dirty_lines,
-                stats_arr,
-            )
-        except OverflowError:
-            return self._fallback("cache state overflows the int64 kernel ABI")
-        soa.scatter_lines(cache, image)
-        stats = cache.stats
-        values = stats_arr.tolist()
-        (
-            stats.read_hits,
-            stats.write_hits,
-            stats.read_misses,
-            stats.write_misses,
-            stats.evictions,
-            stats.dirty_evictions,
-            stats.writebacks,
-            stats.evicted_read_only,
-            stats.evicted_write_only,
-            stats.evicted_read_write,
-        ) = values
-        cache.plan.stamp_policy._clock = int(clock)
-        cache.tick += stop - start
-        return stop - start
 
 
 def attach_kernel(target, spec: "KernelSpec | str") -> None:

@@ -14,7 +14,7 @@ KernelSpec(name='native', kwargs=())
 
 Kernel names:
 
-``dict``    the reference dict-driven batch drivers from PRs 3-4
+``dict``    the reference dict-driven batch drivers
             (``_run_trace_stamped`` and friends).  The default; every
             other kernel must be bit-identical to it.
 ``native``  struct-of-arrays state replayed by a small C kernel,
@@ -22,10 +22,7 @@ Kernel names:
             ctypes (see :mod:`repro.kernels.build`).  Falls back to
             ``dict`` per run when the config is unsupported or no
             compiler is available.
-``numba``   the pure-Python SoA loop (:mod:`repro.kernels.pyloop`)
-            JIT-compiled by numba when importable; otherwise falls
-            back like ``native``.
-``auto``    ``native`` if it can build, else ``numba``, else ``dict``.
+``auto``    ``native`` if it can build, else ``dict``.
 
 The spec is frozen and hashable, so it can key ``lru_cache``/store
 entries.  The default kernel keys as plain ``"dict"`` and is
@@ -46,7 +43,7 @@ from repro.common.spec import Spec
 DEFAULT_KERNEL = "dict"
 
 #: every selectable kernel backend name.
-KERNEL_NAMES = ("dict", "native", "numba", "auto")
+KERNEL_NAMES = ("dict", "native", "auto")
 
 
 @dataclass(frozen=True)

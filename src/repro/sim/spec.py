@@ -3,7 +3,7 @@
 A :class:`SimulationSpec` is a frozen, hashable, picklable description
 of one run -- which **mode** (LLC-level replay, full L1/L2/LLC
 hierarchy, or the epoch-interleaved multicore system), which workload,
-which policy, at which :class:`~repro.experiments.runner.ExperimentScale`
+which policy, at which :class:`~repro.sim.scale.ExperimentScale`
 and geometry.  :func:`simulate` executes it; :func:`simulate_cached`
 memoizes it.  Every harness in ``repro.experiments`` and every engine
 job routes through here, so there is exactly one place that knows how
@@ -37,13 +37,9 @@ from typing import Optional, Union
 
 from repro.cache.policyspec import PolicySpec
 from repro.common.config import default_hierarchy
-from repro.experiments.runner import (
-    ExperimentScale,
-    cached_trace,
-    make_llc_policy,
-)
 from repro.kernels.spec import KernelSpec
 from repro.mem.spec import BackendSpec
+from repro.sim.scale import ExperimentScale, cached_trace, make_llc_policy
 from repro.trace.generator import LINE_SIZE
 from repro.trace.workload import WorkloadSpec
 
@@ -294,7 +290,7 @@ def _simulate_multicore(spec: SimulationSpec):
             f"need {num_cores}"
         )
     if mix.sharing is not None:
-        from repro.experiments.runner import cached_shared_mix
+        from repro.sim.scale import cached_shared_mix
 
         traces = list(
             cached_shared_mix(

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.experiments.runner import ExperimentScale
 
 FAST = ["--llc-lines", "256", "--accesses", "4096"]
 
@@ -89,6 +90,56 @@ class TestErrorExitCodes:
         assert main(args) == 2
         err = capsys.readouterr().err
         assert "no oracle" in err and "nosuch" in err
+
+
+class TestScaleValidation:
+    """Trace lengths are validated, never silently clamped."""
+
+    @pytest.mark.parametrize("command", ("run", "compare", "motivation"))
+    @pytest.mark.parametrize("accesses", ("0", "-5"))
+    def test_nonpositive_accesses_is_argparse_error(
+        self, command, accesses, capsys
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "micro_fit", "--accesses", accesses])
+        assert exit_info.value.code == 2
+        assert "--accesses" in capsys.readouterr().err
+
+    def test_nonpositive_llc_lines_is_argparse_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "micro_fit", "--llc-lines", "0"])
+        assert exit_info.value.code == 2
+        assert "--llc-lines" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ("run", "compare"))
+    def test_short_trace_names_the_minimum(self, command, capsys):
+        args = [command, "micro_fit", "--accesses", "1000", "--no-store"]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "4096" in err and "--accesses 1000" in err
+
+    def test_minimum_trace_runs(self, capsys):
+        args = ["run", "micro_fit", "-p", "lru", "--llc-lines", "256",
+                "--accesses", "512", "--no-store"]
+        assert main(args) == 0
+        assert "ipc" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "field,value",
+        (
+            ("llc_lines", 0),
+            ("llc_lines", -1),
+            ("ways", 0),
+            ("measure_factor", 0),
+            ("warmup_factor", -1),
+        ),
+    )
+    def test_experiment_scale_rejects_bad_fields(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ExperimentScale(**{field: value})
+
+    def test_experiment_scale_allows_zero_warmup(self):
+        assert ExperimentScale(warmup_factor=0).warmup == 0
 
 
 class TestSweepCommand:

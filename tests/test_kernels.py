@@ -20,10 +20,6 @@ from __future__ import annotations
 
 import pytest
 
-import repro.experiments  # noqa: F401  pre-imports the experiments package
-# (repro.sim and repro.experiments import each other; importing the
-# package first resolves the cycle the same way the CLI does)
-
 from repro.common.config import CacheConfig
 from repro.engine.jobs import RunJob
 from repro.experiments.runner import ExperimentScale
@@ -31,10 +27,7 @@ from repro.kernels import (
     KernelSpec,
     attach_kernel,
     native_available,
-    plan_shards,
     reset_native_cache,
-    shard_eligible,
-    sharded_replay,
 )
 from repro.sim.spec import SimulationSpec, simulate
 from repro.trace.access import Trace
@@ -225,10 +218,10 @@ class TestKernelFallback:
         assert _stats(kern) == _stats(ref)
         assert _full_line_state(kern) == _full_line_state(ref)
 
-    @pytest.mark.parametrize("kernel", ("native", "numba", "auto"))
+    @pytest.mark.parametrize("kernel", ("native", "auto"))
     def test_forced_fallback_without_native(self, kernel, monkeypatch):
-        # With REPRO_NO_NATIVE set (and numba absent in minimal
-        # environments) every kernel spec degrades to the dict driver.
+        # With REPRO_NO_NATIVE set every kernel spec degrades to the
+        # dict driver.
         monkeypatch.setenv("REPRO_NO_NATIVE", "1")
         reset_native_cache()
         try:
@@ -338,45 +331,6 @@ class TestSystemKernels:
         )
 
 
-class TestShardedReplay:
-    """Multi-process sharded replay == the in-process batch driver."""
-
-    @pytest.mark.parametrize("num_shards,workers", ((1, 1), (4, 1), (4, 2), (7, 3)))
-    def test_sharded_matches_dict(self, num_shards, workers):
-        num_sets, ways = 32, 4
-        config = _config(num_sets, ways)
-        trace = fuzz_trace("mixed", 31337, num_sets, ways, 2048)
-        decoded = trace.decoded(config)
-
-        ref = make_sut_cache("lru", config)
-        ref.run_trace(decoded)
-
-        sharded = make_sut_cache("lru", config)
-        total = sharded_replay(
-            sharded, decoded, num_shards, max_workers=workers
-        )
-        assert total == len(decoded)
-        assert _stats(sharded) == _stats(ref)
-        assert _full_line_state(sharded) == _full_line_state(ref)
-        assert _lookup_keysets(sharded) == _lookup_keysets(ref)
-        assert _set_invariants(sharded) == _set_invariants(ref)
-        assert _clock(sharded) == _clock(ref)
-        assert sharded.tick == ref.tick
-
-    def test_shard_eligibility_gate(self):
-        config = _config(16, 4)
-        assert shard_eligible(make_sut_cache("lru", config))
-        # RWP samples and repartitions globally: sets are not
-        # independent, so the sharded replay must refuse it.
-        assert not shard_eligible(make_sut_cache("rwp", config))
-
-    def test_plan_rejects_ineligible(self):
-        config = _config(16, 4)
-        trace = fuzz_trace("mixed", 1, 16, 4, 256)
-        with pytest.raises(ValueError):
-            plan_shards(make_sut_cache("rwp", config), trace.decoded(config), 2)
-
-
 class TestKernelSpec:
     def test_parse_and_roundtrip(self):
         spec = KernelSpec.parse("native")
@@ -390,6 +344,10 @@ class TestKernelSpec:
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
             KernelSpec.parse("fortran")
+
+    def test_numba_is_not_a_kernel(self):
+        with pytest.raises(ValueError, match="known: dict, native, auto"):
+            KernelSpec.parse("numba")
 
     def test_bad_parameter_rejected(self):
         with pytest.raises(ValueError):
@@ -476,14 +434,3 @@ class TestNumpyAbsent:
         kern = _run("rwp", trace, config, kernel="native")
         ref = _run("rwp", trace, config)
         assert_field_for_field(kern, ref)
-
-    def test_sharded_replay_is_numpy_free(self, no_numpy):
-        config = _config(16, 4)
-        trace = fuzz_trace("mixed", 12, 16, 4, 512)
-        decoded = trace.decoded(config)
-        ref = make_sut_cache("lru", config)
-        ref.run_trace(decoded)
-        sharded = make_sut_cache("lru", config)
-        sharded_replay(sharded, decoded, 3)
-        assert _stats(sharded) == _stats(ref)
-        assert _full_line_state(sharded) == _full_line_state(ref)
