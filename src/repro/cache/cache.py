@@ -14,21 +14,25 @@ The access pipeline has three layers (see ``docs/ARCHITECTURE.md``):
 
 1. the decode layer (:mod:`repro.trace.decode`) splits addresses into
    ``(set_index, tag)`` once per trace x geometry;
-2. this core either replays decoded accesses in bulk through
-   :meth:`SetAssociativeCache.run_trace` (the hot path: hoisted
-   attribute lookups, inlined hit handling, optionally fused timing) or
-   one at a time through :meth:`SetAssociativeCache.access`;
+2. this core either replays decoded accesses in bulk through a batch
+   session (:meth:`SetAssociativeCache.run_trace_session`; the hot
+   path: hoisted attribute lookups, inlined hit and miss handling,
+   optionally fused timing) -- :meth:`SetAssociativeCache.run_trace` is
+   one such session drained -- or one at a time through
+   :meth:`SetAssociativeCache.access`;
 3. the policy's ABI v2 :class:`~repro.cache.policy.DispatchPlan` tells
    the core which hooks exist, so no-op hooks are never called.
 
-Both drivers share the cold paths (:meth:`_miss_path` / :meth:`_evict`)
-and are held bit-identical by the differential harness and the batch
-equivalence property tests.
+The batch session has one loop per plan shape: ``_session_stamped``
+for recency-stamped demand-only plans, ``_session_generic`` for the
+rest.  The scalar path owns the cold paths (:meth:`_miss_path` /
+:meth:`_evict`), which the sessions inline in the same operation
+order; the differential harness and the batch equivalence property
+tests hold the drivers bit-identical.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
 from math import inf
 from typing import Dict, Iterator, List, Tuple
 
@@ -38,10 +42,6 @@ from repro.common.config import CacheConfig
 
 #: access() return type: (hit, bypassed, writeback_address_or_minus_1)
 AccessOutcome = Tuple[bool, bool, int]
-
-#: batch-driver chunk size: big enough to amortize slicing, small enough
-#: that the four stream slices stay cache- and memory-friendly.
-RUN_TRACE_CHUNK = 1 << 16
 
 
 class CacheSet:
@@ -147,7 +147,7 @@ class SetAssociativeCache:
         #: skip the per-hit ``line.prefetched`` check for demand-only runs.
         self._prefetch_active = False
         #: True while every set's lookup dict is known to be in recency
-        #: (stamp) order -- the invariant `_run_trace_stamped` maintains.
+        #: (stamp) order -- the invariant `_session_stamped` maintains.
         #: When it holds across calls, the per-call stamp-sorted rebuild
         #: is skipped, which is what makes many small batched runs (the
         #: multicore epoch driver) as cheap per access as one big run.
@@ -355,16 +355,15 @@ class SetAssociativeCache:
         timing=None,
         core: int = 0,
         step=None,
-        cycle_limit: float | None = None,
     ) -> int:
         """Replay decoded accesses ``[start, stop)``; returns the count run.
 
         ``decoded`` is a :class:`~repro.trace.decode.DecodedTrace` for
         this cache's geometry (see ``Trace.decoded(config)``).  Produces
         bit-identical state, statistics, and timing to calling
-        :meth:`access` in a loop; the speedup comes from hoisting
-        attribute lookups and hook checks out of the loop and inlining
-        the hit fast path.
+        :meth:`access` in a loop: the replay is one batch session (see
+        :meth:`run_trace_session`) drained in a single unbounded epoch
+        and closed, which flushes everything.
 
         ``timing``: optional :class:`~repro.cpu.timing.TimingModel`
         advanced exactly as :class:`~repro.cpu.core.LLCRunner` does per
@@ -375,15 +374,6 @@ class SetAssociativeCache:
         after every access; returning truthy aborts the replay (the
         differential harness uses this for lockstep comparison).  The
         callback must not mutate this cache.
-
-        ``cycle_limit``: optional exclusive bound on ``timing.cycles``,
-        checked *before* each access advances the clock -- the replay
-        stops at the first access whose pre-advance cycle count is
-        ``>= cycle_limit`` and returns how many accesses actually ran.
-        This mirrors the scalar multicore loop, which selects a core by
-        its current cycle count and only then advances it, so the epoch
-        driver can hand a whole bounded run to this loop.  Requires
-        ``timing``.
 
         During a (non-``step``) batch replay the statistics counters,
         ``tick``, and a recency-stamped policy's clock live in loop
@@ -398,612 +388,28 @@ class SetAssociativeCache:
             raise ValueError(
                 f"invalid access range [{start}, {stop}) for {n}-access trace"
             )
+        self._check_geometry(decoded)
+        if step is not None:
+            return self._run_trace_step(decoded, start, stop, timing, core, step)
+        if self.kernel is not None:
+            ran = self.kernel.try_run_trace(self, decoded, start, stop, timing, core)
+            if ran is not None:
+                return ran
+        session = self._session(decoded, timing, core)
+        ran, _ = session.send((start, stop, inf, False))
+        session.close()
+        return ran
+
+    def _check_geometry(self, decoded) -> None:
         if not decoded.matches(self.config):
             raise ValueError(
                 f"decoded trace geometry {decoded.geometry_key} does not "
                 f"match cache geometry ({self.config.offset_bits}, "
                 f"{self.config.index_bits})"
             )
-        if cycle_limit is not None and timing is None:
-            raise ValueError("cycle_limit requires a timing model")
-        if step is not None:
-            return self._run_trace_step(
-                decoded, start, stop, timing, core, step, cycle_limit
-            )
-        if self.kernel is not None:
-            ran = self.kernel.try_run_trace(
-                self, decoded, start, stop, timing, core, cycle_limit
-            )
-            if ran is not None:
-                return ran
-        if (
-            timing is not None
-            and self.plan.stamp_policy is not None
-            and self._observe is None
-            and self._should_bypass is None
-            and self._on_evict is None
-            and self.eviction_listener is None
-            and self.access_listener is None
-            and not self._prefetch_active
-            and not self._needs_pc
-        ):
-            return self._run_trace_stamped(
-                decoded, start, stop, timing, core, cycle_limit
-            )
-        # The generic loop's hits bump stamps without moving dict
-        # entries, so the stamped loop's recency-order invariant dies.
-        self._lookup_ordered = False
-
-        # Hoist every per-access attribute chase into locals.  The miss
-        # path is inlined below with the same operation order as
-        # ``_miss_path``/``_evict`` (the batch-equivalence property tests
-        # and the differential harness pin the two paths together).
-        sets = self.sets
-        lookups, _ = self._lookup_tables()
-        stats = self.stats
-        observe = self._observe
-        access_listener = self.access_listener
-        on_sample = self._on_sample
-        stride = self._sample_stride
-        period = self._epoch_period
-        pre_active = self._pre_active
-        on_hit = self._on_hit
-        on_fill = self._on_fill
-        # Recency-stamped policies (see RecencyStampMixin): hoist the
-        # policy clock and stamp lines inline instead of calling the
-        # on_hit/on_fill hook pair on every access.
-        stamp = self.plan.stamp_policy
-        stamping = stamp is not None
-        clock = stamp._clock if stamping else 0
-        if stamping:
-            on_hit = None
-            on_fill = None
-        should_bypass = self._should_bypass
-        victim = self._victim
-        on_evict = self._on_evict
-        listener = self.eviction_listener
-        index_bits = self._index_bits
-        offset_bits = self._offset_bits
-        ways = self.ways
-        prefetch_active = self._prefetch_active
-        epoch_left = self._epoch_left
-        read_hits = stats.read_hits
-        write_hits = stats.write_hits
-        prefetch_useful = stats.prefetch_useful
-        read_misses = stats.read_misses
-        write_misses = stats.write_misses
-        bypasses = stats.bypasses
-        evictions = stats.evictions
-        dirty_evictions = stats.dirty_evictions
-        writebacks = stats.writebacks
-        evicted_ro = stats.evicted_read_only
-        evicted_wo = stats.evicted_write_only
-        evicted_rw = stats.evicted_read_write
-        prefetch_unused = stats.prefetch_unused_evictions
-
-        set_stream = decoded.set_indices
-        tag_stream = decoded.tags
-        write_stream = decoded.is_write
-        pc_stream = decoded.pcs if self._needs_pc else None
-        timed = timing is not None
-        if timed:
-            # Per-access cycle costs are precomputed per (trace, CPI) --
-            # same IEEE products the scalar path multiplies out per
-            # access -- and retired instructions are summed at flush.
-            cycle_stream = decoded.cycle_gaps(timing.core.base_cpi)
-            mlp = timing.core.mlp
-            # Same operands as TimingModel.read_hit/read_miss compute per
-            # call, so the hoisted constants are bit-identical floats.
-            hit_stall = timing.llc_hit_latency / mlp
-            miss_stall = timing.memory.latency / mlp
-            cycles = timing.cycles
-            read_stall = timing.read_stall_cycles
-            write_stall = timing.write_stall_cycles
-            # Write-buffer state, hoisted: the loop below inlines
-            # WriteBufferModel.issue (same arithmetic, same order) to
-            # avoid a Python call per writeback.
-            write_buffer = timing.write_buffer
-            wb_completions = write_buffer._completions
-            wb_pop = wb_completions.popleft
-            wb_append = wb_completions.append
-            wb_entries = write_buffer.entries
-            wb_drain = write_buffer.drain_cycles
-            wb_server_free = write_buffer._server_free
-            wb_stall_cycles = write_buffer.stall_cycles
-            wb_writes = write_buffer.total_writes
-        else:
-            cycle_stream = None
-            cycles = 0.0
-
-        limit = inf if cycle_limit is None else cycle_limit
-        ran = 0
-        pos = start
-        while pos < stop:
-            end = min(pos + RUN_TRACE_CHUNK, stop)
-            chunk = zip(
-                set_stream[pos:end],
-                tag_stream[pos:end],
-                write_stream[pos:end],
-                pc_stream[pos:end] if pc_stream is not None else repeat(0),
-                cycle_stream[pos:end] if cycle_stream is not None else repeat(0),
-            )
-            pos = end
-            for si, tag, w, pc, cgap in chunk:
-                if cycles >= limit:
-                    break
-                ran += 1
-                if timed:
-                    cycles += cgap
-                if pre_active:
-                    if access_listener is not None:
-                        access_listener(si, tag, w, pc, core)
-                    if observe is not None:
-                        observe(si, tag, w, pc, core)
-                    else:
-                        if stride and not si % stride:
-                            on_sample(si, tag, w, pc, core)
-                        if period:
-                            epoch_left -= 1
-                            if not epoch_left:
-                                epoch_left = period
-                                self._on_epoch()
-                lookup = lookups[si]
-                line = lookup.get(tag)
-                if line is not None:
-                    if prefetch_active and line.prefetched:
-                        prefetch_useful += 1
-                        line.prefetched = False
-                    if w:
-                        write_hits += 1
-                        if not line.dirty:
-                            sets[si].dirty_lines += 1
-                        line.dirty = True
-                        line.write_seen = True
-                        if stamping:
-                            clock += 1
-                            line.stamp = clock
-                        elif on_hit is not None:
-                            on_hit(sets[si], line, si, w, pc, core)
-                    else:
-                        read_hits += 1
-                        line.read_seen = True
-                        if stamping:
-                            clock += 1
-                            line.stamp = clock
-                        elif on_hit is not None:
-                            on_hit(sets[si], line, si, w, pc, core)
-                        if timed:
-                            read_stall += hit_stall
-                            cycles += hit_stall
-                    continue
-
-                # Miss: same operation order as _miss_path/_evict.
-                if w:
-                    write_misses += 1
-                else:
-                    read_misses += 1
-                if should_bypass is not None and should_bypass(
-                    si, tag, w, pc, core
-                ):
-                    bypasses += 1
-                    if timed:
-                        if w:
-                            # inlined WriteBufferModel.issue(cycles)
-                            while wb_completions and wb_completions[0] <= cycles:
-                                wb_pop()
-                            if len(wb_completions) >= wb_entries:
-                                stall = wb_pop() - cycles
-                                wb_stall_cycles += stall
-                                write_stall += stall
-                                cycles += stall
-                            wb_server_free = (
-                                cycles
-                                if cycles > wb_server_free
-                                else wb_server_free
-                            ) + wb_drain
-                            wb_append(wb_server_free)
-                            wb_writes += 1
-                        else:
-                            read_stall += miss_stall
-                            cycles += miss_stall
-                    continue
-                cache_set = sets[si]
-                wb = -1
-                if cache_set.filled < ways:
-                    for line in cache_set.lines:
-                        if not line.valid:
-                            break
-                    cache_set.filled += 1
-                else:
-                    line = victim(cache_set, si, w, pc, core)
-                    if on_evict is not None:
-                        on_evict(line, si)
-                    evictions += 1
-                    dirty = line.dirty
-                    if dirty:
-                        dirty_evictions += 1
-                        cache_set.dirty_lines -= 1
-                    if line.prefetched:
-                        prefetch_unused += 1
-                    elif line.read_seen:
-                        if line.write_seen:
-                            evicted_rw += 1
-                        else:
-                            evicted_ro += 1
-                    else:
-                        evicted_wo += 1
-                    del lookup[line.tag]
-                    if dirty or listener is not None:
-                        victim_addr = (
-                            (line.tag << index_bits) | si
-                        ) << offset_bits
-                        if dirty:
-                            writebacks += 1
-                            wb = victim_addr
-                        if listener is not None:
-                            listener(victim_addr, dirty)
-                # inlined CacheLine.reset_for_fill(tag, w, core)
-                line.tag = tag
-                line.valid = True
-                line.dirty = w
-                line.stamp = 0
-                line.rrpv = 0
-                line.signature = 0
-                line.outcome = 0
-                line.owner = core
-                line.read_seen = not w
-                line.write_seen = w
-                line.prefetched = False
-                if w:
-                    cache_set.dirty_lines += 1
-                lookup[tag] = line
-                if stamping:
-                    clock += 1
-                    line.stamp = clock
-                elif on_fill is not None:
-                    on_fill(cache_set, line, si, w, pc, core)
-                if timed:
-                    if not w:
-                        read_stall += miss_stall
-                        cycles += miss_stall
-                    if wb >= 0:
-                        # inlined WriteBufferModel.issue(cycles)
-                        while wb_completions and wb_completions[0] <= cycles:
-                            wb_pop()
-                        if len(wb_completions) >= wb_entries:
-                            stall = wb_pop() - cycles
-                            wb_stall_cycles += stall
-                            write_stall += stall
-                            cycles += stall
-                        wb_server_free = (
-                            cycles
-                            if cycles > wb_server_free
-                            else wb_server_free
-                        ) + wb_drain
-                        wb_append(wb_server_free)
-                        wb_writes += 1
-            else:
-                continue
-            break  # cycle_limit reached mid-chunk
-
-        self.tick += ran
-        if stamping:
-            stamp._clock = clock
-        stats.read_hits = read_hits
-        stats.write_hits = write_hits
-        stats.prefetch_useful = prefetch_useful
-        stats.read_misses = read_misses
-        stats.write_misses = write_misses
-        stats.bypasses = bypasses
-        stats.evictions = evictions
-        stats.dirty_evictions = dirty_evictions
-        stats.writebacks = writebacks
-        stats.evicted_read_only = evicted_ro
-        stats.evicted_write_only = evicted_wo
-        stats.evicted_read_write = evicted_rw
-        stats.prefetch_unused_evictions = prefetch_unused
-        self._epoch_left = epoch_left
-        if timed:
-            timing.cycles = cycles
-            timing.instructions += decoded.gap_total(start, start + ran)
-            timing.read_stall_cycles = read_stall
-            timing.write_stall_cycles = write_stall
-            write_buffer._server_free = wb_server_free
-            write_buffer.stall_cycles = wb_stall_cycles
-            write_buffer.total_writes = wb_writes
-        return ran
-
-    def _run_trace_stamped(
-        self,
-        decoded,
-        start: int,
-        stop: int,
-        timing,
-        core: int,
-        cycle_limit: float | None = None,
-    ) -> int:
-        """Batch loop specialized for recency-stamped demand-only replay.
-
-        Taken when the plan proves the common bench/sweep shape: a
-        :class:`~repro.cache.policy.RecencyStampMixin` policy (LRU, RWP)
-        with no full observe, no bypass, no evict training, no eviction
-        listener, no prefetches in flight, and no PC consumers.  Every
-        branch the generic loop re-checks per access is dead here, and
-        the stamp clock and statistics live in locals.
-
-        For ``victim_is_min_stamp`` / ``victim_is_partition_min_stamp``
-        policies the per-set lookup dict is additionally kept in
-        recency (= stamp) order: it is rebuilt stamp-sorted once at
-        entry, every hit moves its line to the dict tail, and every
-        fill inserts at the tail with a fresh maximal stamp.  The LRU
-        line is then always the *first* dict entry, so victim selection
-        is O(1) for LRU and an early-exit partition probe for RWP
-        instead of a full way scan.  Stamps stay authoritative (the
-        scalar path still scans them), and stamps are unique per
-        policy clock, so dict order and stamp order cannot disagree.
-        Operation order matches the generic loop exactly -- the
-        batch-equivalence property tests hold the two together.
-        """
-        sets = self.sets
-        # Pre-bound dict.get per set: the hit path pays one subscript +
-        # call instead of subscript + attribute load + call.  Both
-        # tables are cached on the cache object: small bounded runs
-        # (the multicore epoch driver issues thousands of them) must
-        # not pay an O(num_sets) rebuild per call.
-        lookups, getters = self._lookup_tables()
-        stats = self.stats
-        plan = self.plan
-        stamp = plan.stamp_policy
-        clock = stamp._clock
-        on_sample = self._on_sample
-        stride = self._sample_stride
-        period = self._epoch_period
-        victim = self._victim
-        min_stamp_victim = plan.min_stamp_victim
-        partition_victim = plan.partition_min_stamp_victim
-        reorder = min_stamp_victim or partition_victim
-        if reorder and not self._lookup_ordered:
-            # Establish the recency-order invariant: rebuild each
-            # set's lookup sorted by stamp (unique per policy clock,
-            # so the order is total).  The loop below maintains it,
-            # and `_lookup_ordered` keeps it across back-to-back
-            # batched runs until a scalar-path access breaks it.
-            for i, lookup in enumerate(lookups):
-                if len(lookup) > 1:
-                    ordered = dict(
-                        sorted(lookup.items(), key=lambda kv: kv[1].stamp)
-                    )
-                    sets[i].lookup = ordered
-                    lookups[i] = ordered
-                    getters[i] = ordered.get
-        ways = self.ways
-        index_bits = self._index_bits
-        offset_bits = self._offset_bits
-        epoch_left = self._epoch_left
-        read_hits = stats.read_hits
-        write_hits = stats.write_hits
-        read_misses = stats.read_misses
-        write_misses = stats.write_misses
-        evictions = stats.evictions
-        dirty_evictions = stats.dirty_evictions
-        writebacks = stats.writebacks
-        evicted_ro = stats.evicted_read_only
-        evicted_wo = stats.evicted_write_only
-        evicted_rw = stats.evicted_read_write
-
-        set_stream = decoded.set_indices
-        tag_stream = decoded.tags
-        write_stream = decoded.is_write
-        # Per-access derived quantities that never feed back into the
-        # loop are precomputed (cycle_gaps) or summed at flush time
-        # (gap_total, tick) instead of being accumulated per access.
-        cycle_stream = decoded.cycle_gaps(timing.core.base_cpi)
-        mlp = timing.core.mlp
-        hit_stall = timing.llc_hit_latency / mlp
-        miss_stall = timing.memory.latency / mlp
-        cycles = timing.cycles
-        read_stall = timing.read_stall_cycles
-        write_stall = timing.write_stall_cycles
-        write_buffer = timing.write_buffer
-        wb_completions = write_buffer._completions
-        wb_pop = wb_completions.popleft
-        wb_append = wb_completions.append
-        wb_entries = write_buffer.entries
-        wb_drain = write_buffer.drain_cycles
-        wb_server_free = write_buffer._server_free
-        wb_stall_cycles = write_buffer.stall_cycles
-        wb_writes = write_buffer.total_writes
-
-        limit = inf if cycle_limit is None else cycle_limit
-        ran = 0
-        pos = start
-        while pos < stop:
-            if pos == 0 and stop == len(set_stream):
-                # Full-range replay: zip the streams directly instead of
-                # paying four list copies per chunk.
-                end = stop
-                chunk = zip(set_stream, tag_stream, write_stream, cycle_stream)
-            else:
-                end = min(pos + RUN_TRACE_CHUNK, stop)
-                chunk = zip(
-                    set_stream[pos:end],
-                    tag_stream[pos:end],
-                    write_stream[pos:end],
-                    cycle_stream[pos:end],
-                )
-            pos = end
-            for si, tag, w, cgap in chunk:
-                if cycles >= limit:
-                    break
-                ran += 1
-                cycles += cgap
-                if stride and not si % stride:
-                    on_sample(si, tag, w, 0, core)
-                if period:
-                    epoch_left -= 1
-                    if not epoch_left:
-                        epoch_left = period
-                        self._on_epoch()
-                line = getters[si](tag)
-                if line is not None:
-                    if reorder:
-                        # move-to-end keeps dict order == stamp order
-                        lookup = lookups[si]
-                        del lookup[tag]
-                        lookup[tag] = line
-                    if w:
-                        write_hits += 1
-                        if not line.dirty:
-                            sets[si].dirty_lines += 1
-                        line.dirty = True
-                        line.write_seen = True
-                        clock += 1
-                        line.stamp = clock
-                    else:
-                        read_hits += 1
-                        line.read_seen = True
-                        clock += 1
-                        line.stamp = clock
-                        read_stall += hit_stall
-                        cycles += hit_stall
-                    continue
-
-                # Miss (never bypassed here): fill an invalid way or evict.
-                if w:
-                    write_misses += 1
-                else:
-                    read_misses += 1
-                cache_set = sets[si]
-                lookup = lookups[si]
-                wb = -1
-                if cache_set.filled < ways:
-                    for line in cache_set.lines:
-                        if not line.valid:
-                            break
-                    cache_set.filled += 1
-                else:
-                    if min_stamp_victim:
-                        # recency-ordered dict: the first entry IS the
-                        # LRU (minimal-stamp) line.
-                        line = next(iter(lookup.values()))
-                    elif partition_victim:
-                        # inlined RWP victim (victim_is_partition_min_stamp
-                        # promises this exact selection): partition choice
-                        # from the maintained dirty count, then the first
-                        # dict entry in that partition -- dict order is
-                        # stamp order, so that is the partition's LRU
-                        # line (first entry overall when the chosen
-                        # partition is empty).
-                        dc = cache_set.dirty_lines
-                        td = ways - stamp.target_clean
-                        if dc > td:
-                            evict_dirty = True
-                        elif dc < td:
-                            evict_dirty = False
-                        else:
-                            evict_dirty = w
-                        values = iter(lookup.values())
-                        if evict_dirty:
-                            if not dc:
-                                line = next(values)
-                            else:
-                                for line in values:
-                                    if line.dirty:
-                                        break
-                        elif dc == ways:
-                            line = next(values)
-                        else:
-                            for line in values:
-                                if not line.dirty:
-                                    break
-                    else:
-                        line = victim(cache_set, si, w, 0, core)
-                    evictions += 1
-                    dirty = line.dirty
-                    if dirty:
-                        dirty_evictions += 1
-                        cache_set.dirty_lines -= 1
-                    # No prefetched lines can exist on this path.
-                    if line.read_seen:
-                        if line.write_seen:
-                            evicted_rw += 1
-                        else:
-                            evicted_ro += 1
-                    else:
-                        evicted_wo += 1
-                    del lookup[line.tag]
-                    if dirty:
-                        writebacks += 1
-                        wb = ((line.tag << index_bits) | si) << offset_bits
-                # inlined CacheLine.reset_for_fill + recency stamp
-                line.tag = tag
-                line.valid = True
-                line.dirty = w
-                line.rrpv = 0
-                line.signature = 0
-                line.outcome = 0
-                line.owner = core
-                line.read_seen = not w
-                line.write_seen = w
-                line.prefetched = False
-                if w:
-                    cache_set.dirty_lines += 1
-                clock += 1
-                line.stamp = clock
-                lookup[tag] = line
-                if not w:
-                    read_stall += miss_stall
-                    cycles += miss_stall
-                if wb >= 0:
-                    # inlined WriteBufferModel.issue(cycles)
-                    while wb_completions and wb_completions[0] <= cycles:
-                        wb_pop()
-                    if len(wb_completions) >= wb_entries:
-                        stall = wb_pop() - cycles
-                        wb_stall_cycles += stall
-                        write_stall += stall
-                        cycles += stall
-                    wb_server_free = (
-                        cycles if cycles > wb_server_free else wb_server_free
-                    ) + wb_drain
-                    wb_append(wb_server_free)
-                    wb_writes += 1
-            else:
-                continue
-            break  # cycle_limit reached mid-chunk
-
-        self.tick += ran
-        stamp._clock = clock
-        self._lookup_ordered = bool(reorder)
-        self._epoch_left = epoch_left
-        stats.read_hits = read_hits
-        stats.write_hits = write_hits
-        stats.read_misses = read_misses
-        stats.write_misses = write_misses
-        stats.evictions = evictions
-        stats.dirty_evictions = dirty_evictions
-        stats.writebacks = writebacks
-        stats.evicted_read_only = evicted_ro
-        stats.evicted_write_only = evicted_wo
-        stats.evicted_read_write = evicted_rw
-        timing.cycles = cycles
-        timing.instructions += decoded.gap_total(start, start + ran)
-        timing.read_stall_cycles = read_stall
-        timing.write_stall_cycles = write_stall
-        write_buffer._server_free = wb_server_free
-        write_buffer.stall_cycles = wb_stall_cycles
-        write_buffer.total_writes = wb_writes
-        return ran
 
     def _run_trace_step(
-        self,
-        decoded,
-        start: int,
-        stop: int,
-        timing,
-        core: int,
-        step,
-        cycle_limit: float | None = None,
+        self, decoded, start: int, stop: int, timing, core: int, step
     ) -> int:
         """run_trace with a per-access callback (lockstep verification)."""
         set_stream = decoded.set_indices
@@ -1013,8 +419,6 @@ class SetAssociativeCache:
         gap_stream = decoded.instr_gaps
         access_decoded = self._access_decoded
         for i in range(start, stop):
-            if cycle_limit is not None and timing.cycles >= cycle_limit:
-                return i - start
             is_write = write_stream[i]
             if timing is not None:
                 timing.advance(gap_stream[i])
@@ -1039,9 +443,9 @@ class SetAssociativeCache:
         """Resumable batched replay: bounded epochs over one decoded trace.
 
         Returns a primed generator.  Each
-        ``send((start, stop, cycle_limit, reset))`` replays decoded
+        ``send((start, stop, limit, reset))`` replays decoded
         accesses from ``start`` until ``stop`` or until the first access
-        whose pre-advance ``timing.cycles`` is ``>= cycle_limit``
+        whose pre-advance ``timing.cycles`` is ``>= limit``
         (pass ``math.inf`` for unbounded), then yields
         ``(ran, cycles)``.  The first access of every epoch runs
         unconditionally -- the caller selected this core, mirroring the
@@ -1052,12 +456,12 @@ class SetAssociativeCache:
         ``timing.cycles`` / ``timing.instructions``, and yields the
         session's cumulative per-core ``(read_hits, read_misses,
         write_hits, write_misses)`` tallies.  ``close()`` flushes
-        everything; until a sync the cache-wide statistics, ``tick``
+        everything; until then the cache-wide statistics, ``tick``
         and the ``timing`` attributes lag by this session's deltas
         (each epoch's cycle count comes back through the yield), while
         cache *state* (lines, stamps, policy) is always current.
         Per-access semantics and operation order are exactly
-        :meth:`run_trace`'s.
+        :meth:`access`'s.
 
         The point is amortization: the multicore epoch driver issues
         tens of thousands of 1-2 access epochs, and a :meth:`run_trace`
@@ -1067,42 +471,92 @@ class SetAssociativeCache:
         """
         if timing is None:
             raise ValueError("run_trace_session requires a timing model")
-        if not decoded.matches(self.config):
-            raise ValueError(
-                f"decoded trace geometry {decoded.geometry_key} does not "
-                f"match cache geometry ({self.config.offset_bits}, "
-                f"{self.config.index_bits})"
-            )
-        if (
-            self.plan.stamp_policy is not None
-            and self._observe is None
-            and self._should_bypass is None
-            and self._on_evict is None
-            and self.eviction_listener is None
-            and self.access_listener is None
-            and not self._prefetch_active
-            and not self._needs_pc
-        ):
+        self._check_geometry(decoded)
+        return self._session(decoded, timing, core)
+
+    def stamped_block_reason(self) -> str | None:
+        """Why the stamped batch loop cannot replay this cache, or None.
+
+        The stamped loop (and the SoA kernels, which cover the same
+        shape) needs a recency-stamped plan with none of the optional
+        machinery: no full observe, no bypass, no evict training, no
+        access or eviction listener, no prefetches in flight, no PC
+        consumers.  The reason strings are the kernel runtime's
+        fallback reasons.
+        """
+        if self.plan.stamp_policy is None:
+            return "policy is outside the stamped fast path"
+        if self._observe is not None:
+            return "policy installs a full observe hook"
+        if self._should_bypass is not None:
+            return "policy installs a bypass hook"
+        if self._on_evict is not None:
+            return "policy trains on evictions"
+        if self.access_listener is not None:
+            return "sharer tracking is active (access listener attached)"
+        if self.eviction_listener is not None:
+            return "an eviction listener is attached"
+        if self._prefetch_active:
+            return "prefetching is active"
+        if self._needs_pc:
+            return "policy needs per-access PCs"
+        return None
+
+    def _session(self, decoded, timing, core: int):
+        """The primed batch session for this cache's plan shape."""
+        if timing is not None and self.stamped_block_reason() is None:
             session = self._session_stamped(decoded, timing, core)
         else:
             session = self._session_generic(decoded, timing, core)
         next(session)
         return session
 
-    def _session_stamped(self, decoded, timing, core: int):
-        """Session loop specialized exactly like ``_run_trace_stamped``.
+    def _ordered_lookups(self) -> Tuple[List[Dict[int, CacheLine]], list]:
+        """The lookup tables, every set's dict in recency (stamp) order.
 
-        Same eligibility gate, same inlined hit/miss/timing bodies, but
-        indexed access into the streams (epochs are too small for chunk
-        slicing to pay) and all flushable counters buffered in locals
-        until ``close()``.  Cross-session shared state -- the policy
-        stamp clock and the sampler epoch countdown -- is re-read at
-        every epoch and written back at every yield, so N interleaved
-        per-core sessions observe each other exactly like consecutive
-        scalar accesses would.
+        Rebuilds each set's lookup sorted by stamp (unique per policy
+        clock, so the order is total) unless ``_lookup_ordered`` says
+        the order already holds.  Batch loops that keep it -- hits move
+        their line to the dict tail, fills insert at the tail with a
+        fresh maximal stamp -- then find the LRU line first in the dict.
+        """
+        lookups, getters = self._lookup_tables()
+        if not self._lookup_ordered:
+            sets = self.sets
+            for i, lookup in enumerate(lookups):
+                if len(lookup) > 1:
+                    ordered = dict(
+                        sorted(lookup.items(), key=lambda kv: kv[1].stamp)
+                    )
+                    sets[i].lookup = ordered
+                    lookups[i] = ordered
+                    getters[i] = ordered.get
+            self._lookup_ordered = True
+        return lookups, getters
+
+    def _session_stamped(self, decoded, timing, core: int):
+        """Session loop specialized for recency-stamped demand-only replay.
+
+        Taken when :meth:`stamped_block_reason` finds nothing in the way
+        and a timing model is attached: every branch the generic loop
+        re-checks per access is dead here.
+
+        For ``victim_is_min_stamp`` / ``victim_is_partition_min_stamp``
+        policies the per-set lookup dict is kept in recency (= stamp)
+        order (see :meth:`_ordered_lookups`): every hit moves its line
+        to the dict tail and every fill inserts at the tail.  The LRU
+        line is then always the *first* dict entry, so victim selection
+        is O(1) for LRU and an early-exit partition probe for RWP
+        instead of a full way scan.  Stamps stay authoritative (the
+        scalar path still scans them).
+
+        Flushable counters are buffered in locals until ``close()``.
+        Cross-session shared state -- the policy stamp clock and the
+        sampler epoch countdown -- is re-read at every epoch and written
+        back at every yield, so N interleaved per-core sessions observe
+        each other exactly like consecutive scalar accesses would.
         """
         sets = self.sets
-        lookups, getters = self._lookup_tables()
         stats = self.stats
         plan = self.plan
         stamp = plan.stamp_policy
@@ -1113,19 +567,12 @@ class SetAssociativeCache:
         min_stamp_victim = plan.min_stamp_victim
         partition_victim = plan.partition_min_stamp_victim
         reorder = min_stamp_victim or partition_victim
-        if reorder and not self._lookup_ordered:
-            for i, lookup in enumerate(lookups):
-                if len(lookup) > 1:
-                    ordered = dict(
-                        sorted(lookup.items(), key=lambda kv: kv[1].stamp)
-                    )
-                    sets[i].lookup = ordered
-                    lookups[i] = ordered
-                    getters[i] = ordered.get
+        # Every live session maintains move-to-end, so the recency
+        # order holds across the whole interleaved run.
         if reorder:
-            # Every live session maintains move-to-end, so the invariant
-            # holds across the whole interleaved run.
-            self._lookup_ordered = True
+            lookups, getters = self._ordered_lookups()
+        else:
+            lookups, getters = self._lookup_tables()
         ways = self.ways
         index_bits = self._index_bits
         offset_bits = self._offset_bits
@@ -1140,15 +587,22 @@ class SetAssociativeCache:
         set_stream = decoded.set_indices
         tag_stream = decoded.tags
         write_stream = decoded.is_write
+        # Per-access cycle costs are precomputed per (trace, CPI) --
+        # same IEEE products the scalar path multiplies out per access
+        # -- and retired instructions come from the gap cumsum.
         cycle_stream = decoded.cycle_gaps(timing.core.base_cpi)
         gap_cumsum = decoded.gap_cumsum()
         instructions = timing.instructions
         mlp = timing.core.mlp
+        # Same operands as TimingModel.read_hit/read_miss compute per
+        # call, so the hoisted constants are bit-identical floats.
         hit_stall = timing.llc_hit_latency / mlp
         miss_stall = timing.memory.latency / mlp
         cycles = timing.cycles
         read_stall = timing.read_stall_cycles
         write_stall = timing.write_stall_cycles
+        # Write-buffer state, hoisted: the loop inlines
+        # WriteBufferModel.issue (same arithmetic, same order).
         write_buffer = timing.write_buffer
         wb_completions = write_buffer._completions
         wb_pop = wb_completions.popleft
@@ -1204,6 +658,7 @@ class SetAssociativeCache:
                     line = getters[si](tag)
                     if line is not None:
                         if reorder:
+                            # move-to-end keeps dict order == stamp order
                             lookup = lookups[si]
                             del lookup[tag]
                             lookup[tag] = line
@@ -1224,6 +679,7 @@ class SetAssociativeCache:
                             cycles += hit_stall
                         continue
 
+                    # Miss (never bypassed here): fill an invalid way or evict.
                     if w:
                         wm += 1
                     else:
@@ -1238,8 +694,16 @@ class SetAssociativeCache:
                         cache_set.filled += 1
                     else:
                         if min_stamp_victim:
+                            # recency-ordered dict: the first entry IS
+                            # the LRU (minimal-stamp) line.
                             line = next(iter(lookup.values()))
                         elif partition_victim:
+                            # inlined RWP victim (the selection
+                            # victim_is_partition_min_stamp promises):
+                            # partition choice from the maintained dirty
+                            # count, then the first dict entry in that
+                            # partition -- its LRU line, or the first
+                            # entry overall when the partition is empty.
                             dc = cache_set.dirty_lines
                             td = ways - stamp.target_clean
                             if dc > td:
@@ -1269,6 +733,7 @@ class SetAssociativeCache:
                         if dirty:
                             dirty_evictions += 1
                             cache_set.dirty_lines -= 1
+                        # No prefetched lines can exist on this path.
                         if line.read_seen:
                             if line.write_seen:
                                 evicted_rw += 1
@@ -1280,6 +745,7 @@ class SetAssociativeCache:
                         if dirty:
                             writebacks += 1
                             wb = ((line.tag << index_bits) | si) << offset_bits
+                    # inlined CacheLine.reset_for_fill + recency stamp
                     line.tag = tag
                     line.valid = True
                     line.dirty = w
@@ -1299,6 +765,7 @@ class SetAssociativeCache:
                         read_stall += miss_stall
                         cycles += miss_stall
                     if wb >= 0:
+                        # inlined WriteBufferModel.issue(cycles)
                         while wb_completions and wb_completions[0] <= cycles:
                             wb_pop()
                         if len(wb_completions) >= wb_entries:
@@ -1344,84 +811,322 @@ class SetAssociativeCache:
             write_buffer.total_writes = wb_writes
 
     def _session_generic(self, decoded, timing, core: int):
-        """Session loop for plans the stamped specialization rejects.
+        """Session loop for every plan the stamped loop rejects.
 
-        Every access goes through ``_access_decoded`` and the public
-        timing methods -- the scalar semantics by construction, with
-        the address decode and call dispatch hoisted.  Cache-wide
-        statistics stay current per access on this path; only the
-        per-core tallies live in the generator.
+        Hoists every per-access attribute chase into locals and inlines
+        the hit path and the miss path with the same operation order as
+        ``_miss_path``/``_evict`` (the batch-equivalence property tests
+        and the differential harness pin the two together).  Runs
+        untimed when ``timing`` is None (the hierarchy LLC residue,
+        goldens, motivation runs); otherwise inlines the flat timing
+        model, computing each access's cycle cost as ``gap * base_cpi``
+        -- the IEEE product ``TimingModel.advance`` computes.
+
+        Buffering and cross-session state follow
+        :meth:`_session_stamped`: counters, ``tick`` and timing flush on
+        ``close()``; a recency-stamped policy's clock and the sampler
+        epoch countdown are re-read at every epoch and written back at
+        every yield.
         """
+        # Hits here bump stamps without moving dict entries, so the
+        # stamped loop's recency-order invariant dies.
+        self._lookup_ordered = False
+        sets = self.sets
+        lookups, _ = self._lookup_tables()
+        stats = self.stats
+        observe = self._observe
+        access_listener = self.access_listener
+        on_sample = self._on_sample
+        stride = self._sample_stride
+        period = self._epoch_period
+        on_epoch = self._on_epoch
+        pre_active = self._pre_active
+        on_hit = self._on_hit
+        on_fill = self._on_fill
+        # Recency-stamped policies (see RecencyStampMixin): stamp lines
+        # inline from a hoisted clock instead of calling the
+        # on_hit/on_fill hook pair on every access.
+        stamp = self.plan.stamp_policy
+        stamping = stamp is not None
+        clock = 0
+        if stamping:
+            on_hit = None
+            on_fill = None
+        should_bypass = self._should_bypass
+        victim = self._victim
+        on_evict = self._on_evict
+        listener = self.eviction_listener
+        index_bits = self._index_bits
+        offset_bits = self._offset_bits
+        ways = self.ways
+        prefetch_active = self._prefetch_active
+
+        # Per-core tallies and buffered cache-wide deltas.
+        rh = rm = wh = wm = 0
+        ticks = 0
+        prefetch_useful = bypasses = 0
+        evictions = dirty_evictions = writebacks = 0
+        evicted_ro = evicted_wo = evicted_rw = prefetch_unused = 0
+
         set_stream = decoded.set_indices
         tag_stream = decoded.tags
         write_stream = decoded.is_write
         pc_stream = decoded.pcs
         gap_stream = decoded.instr_gaps
-        access_decoded = self._access_decoded
-        advance = timing.advance
-        read_hit = timing.read_hit
-        read_miss = timing.read_miss
-        memory_write = timing.memory_write
-        rh = rm = wh = wm = 0
+        timed = timing is not None
+        cycles = 0.0
+        if timed:
+            base_cpi = timing.core.base_cpi
+            instructions = timing.instructions
+            mlp = timing.core.mlp
+            hit_stall = timing.llc_hit_latency / mlp
+            miss_stall = timing.memory.latency / mlp
+            cycles = timing.cycles
+            read_stall = timing.read_stall_cycles
+            write_stall = timing.write_stall_cycles
+            write_buffer = timing.write_buffer
+            wb_completions = write_buffer._completions
+            wb_pop = wb_completions.popleft
+            wb_append = wb_completions.append
+            wb_entries = write_buffer.entries
+            wb_drain = write_buffer.drain_cycles
+            wb_server_free = write_buffer._server_free
+            wb_stall_cycles = write_buffer.stall_cycles
+            wb_writes = write_buffer.total_writes
 
-        request = yield None
-        while True:
-            if request is None:
-                request = yield (rh, rm, wh, wm)
-                continue
-            start, stop, limit, reset = request
-            if reset:
-                timing.reset()
-            ran = 0
-            for i in range(start, stop):
-                if ran and timing.cycles >= limit:
-                    break
-                ran += 1
-                w = write_stream[i]
-                advance(gap_stream[i])
-                hit, bypassed, wb = access_decoded(
-                    set_stream[i], tag_stream[i], w, pc_stream[i], core
-                )
-                if w:
-                    if hit:
-                        wh += 1
-                    else:
+        try:
+            request = yield None
+            while True:
+                if request is None:
+                    if timed:
+                        timing.cycles = cycles
+                        timing.instructions = instructions
+                    request = yield (rh, rm, wh, wm)
+                    continue
+                start, stop, limit, reset = request
+                if reset:
+                    timing.reset()
+                    cycles = 0.0
+                    read_stall = 0.0
+                    write_stall = 0.0
+                    instructions = 0
+                    write_buffer = timing.write_buffer
+                    wb_completions = write_buffer._completions
+                    wb_pop = wb_completions.popleft
+                    wb_append = wb_completions.append
+                    wb_server_free = write_buffer._server_free
+                    wb_stall_cycles = 0.0
+                    wb_writes = 0
+                if stamping:
+                    clock = stamp._clock
+                epoch_left = self._epoch_left
+                ran = 0
+                for i in range(start, stop):
+                    # The first access is unconditional (scalar semantics).
+                    if ran and cycles >= limit:
+                        break
+                    ran += 1
+                    si = set_stream[i]
+                    tag = tag_stream[i]
+                    w = write_stream[i]
+                    pc = pc_stream[i]
+                    if timed:
+                        gap = gap_stream[i]
+                        instructions += gap
+                        cycles += gap * base_cpi
+                    if pre_active:
+                        if access_listener is not None:
+                            access_listener(si, tag, w, pc, core)
+                        if observe is not None:
+                            observe(si, tag, w, pc, core)
+                        else:
+                            if stride and not si % stride:
+                                on_sample(si, tag, w, pc, core)
+                            if period:
+                                epoch_left -= 1
+                                if not epoch_left:
+                                    epoch_left = period
+                                    on_epoch()
+                    lookup = lookups[si]
+                    line = lookup.get(tag)
+                    if line is not None:
+                        if prefetch_active and line.prefetched:
+                            prefetch_useful += 1
+                            line.prefetched = False
+                        if w:
+                            wh += 1
+                            if not line.dirty:
+                                sets[si].dirty_lines += 1
+                            line.dirty = True
+                            line.write_seen = True
+                            if stamping:
+                                clock += 1
+                                line.stamp = clock
+                            elif on_hit is not None:
+                                on_hit(sets[si], line, si, w, pc, core)
+                        else:
+                            rh += 1
+                            line.read_seen = True
+                            if stamping:
+                                clock += 1
+                                line.stamp = clock
+                            elif on_hit is not None:
+                                on_hit(sets[si], line, si, w, pc, core)
+                            if timed:
+                                read_stall += hit_stall
+                                cycles += hit_stall
+                        continue
+
+                    # Miss: same operation order as _miss_path/_evict.
+                    if w:
                         wm += 1
-                    if bypassed:
-                        memory_write()
-                elif hit:
-                    rh += 1
-                    read_hit()
-                else:
-                    rm += 1
-                    read_miss()
-                if wb >= 0:
-                    memory_write()
-            request = yield (ran, timing.cycles)
+                    else:
+                        rm += 1
+                    if should_bypass is not None and should_bypass(
+                        si, tag, w, pc, core
+                    ):
+                        bypasses += 1
+                        if timed:
+                            if w:
+                                # inlined WriteBufferModel.issue(cycles)
+                                while wb_completions and wb_completions[0] <= cycles:
+                                    wb_pop()
+                                if len(wb_completions) >= wb_entries:
+                                    stall = wb_pop() - cycles
+                                    wb_stall_cycles += stall
+                                    write_stall += stall
+                                    cycles += stall
+                                wb_server_free = (
+                                    cycles
+                                    if cycles > wb_server_free
+                                    else wb_server_free
+                                ) + wb_drain
+                                wb_append(wb_server_free)
+                                wb_writes += 1
+                            else:
+                                read_stall += miss_stall
+                                cycles += miss_stall
+                        continue
+                    cache_set = sets[si]
+                    wb = -1
+                    if cache_set.filled < ways:
+                        for line in cache_set.lines:
+                            if not line.valid:
+                                break
+                        cache_set.filled += 1
+                    else:
+                        line = victim(cache_set, si, w, pc, core)
+                        if on_evict is not None:
+                            on_evict(line, si)
+                        evictions += 1
+                        dirty = line.dirty
+                        if dirty:
+                            dirty_evictions += 1
+                            cache_set.dirty_lines -= 1
+                        if line.prefetched:
+                            prefetch_unused += 1
+                        elif line.read_seen:
+                            if line.write_seen:
+                                evicted_rw += 1
+                            else:
+                                evicted_ro += 1
+                        else:
+                            evicted_wo += 1
+                        del lookup[line.tag]
+                        if dirty or listener is not None:
+                            victim_addr = (
+                                (line.tag << index_bits) | si
+                            ) << offset_bits
+                            if dirty:
+                                writebacks += 1
+                                wb = victim_addr
+                            if listener is not None:
+                                listener(victim_addr, dirty)
+                    # inlined CacheLine.reset_for_fill(tag, w, core)
+                    line.tag = tag
+                    line.valid = True
+                    line.dirty = w
+                    line.stamp = 0
+                    line.rrpv = 0
+                    line.signature = 0
+                    line.outcome = 0
+                    line.owner = core
+                    line.read_seen = not w
+                    line.write_seen = w
+                    line.prefetched = False
+                    if w:
+                        cache_set.dirty_lines += 1
+                    lookup[tag] = line
+                    if stamping:
+                        clock += 1
+                        line.stamp = clock
+                    elif on_fill is not None:
+                        on_fill(cache_set, line, si, w, pc, core)
+                    if timed:
+                        if not w:
+                            read_stall += miss_stall
+                            cycles += miss_stall
+                        if wb >= 0:
+                            # inlined WriteBufferModel.issue(cycles)
+                            while wb_completions and wb_completions[0] <= cycles:
+                                wb_pop()
+                            if len(wb_completions) >= wb_entries:
+                                stall = wb_pop() - cycles
+                                wb_stall_cycles += stall
+                                write_stall += stall
+                                cycles += stall
+                            wb_server_free = (
+                                cycles
+                                if cycles > wb_server_free
+                                else wb_server_free
+                            ) + wb_drain
+                            wb_append(wb_server_free)
+                            wb_writes += 1
+
+                if stamping:
+                    stamp._clock = clock
+                if period:
+                    self._epoch_left = epoch_left
+                ticks += ran
+                request = yield (ran, cycles)
+        finally:
+            self.tick += ticks
+            stats.read_hits += rh
+            stats.write_hits += wh
+            stats.read_misses += rm
+            stats.write_misses += wm
+            stats.prefetch_useful += prefetch_useful
+            stats.bypasses += bypasses
+            stats.evictions += evictions
+            stats.dirty_evictions += dirty_evictions
+            stats.writebacks += writebacks
+            stats.evicted_read_only += evicted_ro
+            stats.evicted_write_only += evicted_wo
+            stats.evicted_read_write += evicted_rw
+            stats.prefetch_unused_evictions += prefetch_unused
+            if timed:
+                timing.cycles = cycles
+                timing.instructions = instructions
+                timing.read_stall_cycles = read_stall
+                timing.write_stall_cycles = write_stall
+                write_buffer._server_free = wb_server_free
+                write_buffer.stall_cycles = wb_stall_cycles
+                write_buffer.total_writes = wb_writes
 
     # -- the hierarchy filter stage ---------------------------------------
     def lru_filter_eligible(self) -> bool:
         """True when :meth:`run_lru_filter` may replay this cache.
 
         The filter inlines exactly the pure-LRU stamped plan (the shape
-        every private L1/L2 uses): recency-stamp hooks, min-stamp
-        victim, and none of the optional machinery -- no observers or
-        samplers, no bypass, no evict training, no eviction listener,
-        no prefetches in flight, no PC consumers.
+        every private L1/L2 uses): the stamped gate
+        (:meth:`stamped_block_reason`), a min-stamp victim, and no
+        samplers or epoch hooks.
         """
-        plan = self.plan
         return (
-            plan.stamp_policy is not None
-            and plan.min_stamp_victim
-            and self._observe is None
+            self.plan.min_stamp_victim
             and self._on_sample is None
             and self._on_epoch is None
-            and self._should_bypass is None
-            and self._on_evict is None
-            and self.eviction_listener is None
-            and self.access_listener is None
-            and not self._prefetch_active
-            and not self._needs_pc
+            and self.stamped_block_reason() is None
         )
 
     def run_lru_filter(
@@ -1488,19 +1193,10 @@ class SetAssociativeCache:
             if forwarded is not None:
                 return forwarded
         sets = self.sets
-        lookups, getters = self._lookup_tables()
+        lookups, getters = self._ordered_lookups()
         stats = self.stats
         stamp = self.plan.stamp_policy
         clock = stamp._clock
-        if not self._lookup_ordered:
-            for i, lookup in enumerate(lookups):
-                if len(lookup) > 1:
-                    ordered = dict(
-                        sorted(lookup.items(), key=lambda kv: kv[1].stamp)
-                    )
-                    sets[i].lookup = ordered
-                    lookups[i] = ordered
-                    getters[i] = ordered.get
         ways = self.ways
         index_bits = self._index_bits
         read_hits = stats.read_hits
@@ -1606,7 +1302,6 @@ class SetAssociativeCache:
                 forwarded += 1
 
         self.tick += stop - start
-        self._lookup_ordered = True
         stamp._clock = clock
         stats.read_hits = read_hits
         stats.write_hits = write_hits

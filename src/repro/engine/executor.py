@@ -141,9 +141,9 @@ def run_jobs(
     pending: List[Tuple[object, Optional[str]]] = []
     for job in job_list:
         key = job.key() if need_keys else None
-        record = store.get(key) if store is not None else None
-        if record is not None:
-            complete(job, key, job.decode(record["result"]), "hit", 0.0)
+        result = store.get_result(key, job.decode) if store is not None else None
+        if result is not None:
+            complete(job, key, result, "hit", 0.0)
         else:
             pending.append((job, key))
 

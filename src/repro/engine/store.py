@@ -21,10 +21,12 @@ import shutil
 import tempfile
 import time
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional, TypeVar
 
 #: bump when the record format changes; old trees are simply ignored.
 STORE_VERSION = "v1"
+
+T = TypeVar("T")
 
 
 def default_store_path() -> Path:
@@ -67,6 +69,23 @@ class ResultStore:
         if not isinstance(record, dict) or record.get("key") != key:
             return None
         return record
+
+    def get_result(
+        self, key: Optional[str], decode: Callable[[Dict], T]
+    ) -> Optional[T]:
+        """``decode(record["result"])`` for ``key``, or ``None`` on a miss.
+
+        A record that reads but does not decode (a garbled or foreign
+        result payload) is a miss too: the caller re-simulates and its
+        ``put`` overwrites the record.
+        """
+        record = self.get(key)
+        if record is None:
+            return None
+        try:
+            return decode(record["result"])
+        except (KeyError, TypeError, ValueError):
+            return None
 
     def put(self, key: str, kind: str, result_data: Dict[str, object]) -> Path:
         """Atomically write one record; concurrent writers are safe."""

@@ -79,9 +79,9 @@ def run_benchmark(
     job = RunJob(benchmark, policy, scale, mode=mode, memory=memory,
                  kernel=kernel)
     key = job.key()
-    record = store.get(key)
-    if record is not None:
-        return job.decode(record["result"])
+    result = store.get_result(key, job.decode)
+    if result is not None:
+        return result
     result = _run_benchmark_cached(
         benchmark, policy, scale, mode, memory, kernel
     )

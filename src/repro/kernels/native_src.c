@@ -6,9 +6,9 @@
  * same IEEE-754 double arithmetic), so results are bit-identical to the
  * dict-driven reference paths:
  *
- *   rw_run_trace   <->  SetAssociativeCache._run_trace_stamped (timed)
- *                       and the stamped subset of the generic run_trace
- *                       loop (untimed)
+ *   rw_run_trace   <->  SetAssociativeCache.run_trace: _session_stamped
+ *                       (timed) and the stamped subset of
+ *                       _session_generic (untimed)
  *   rw_lru_filter  <->  SetAssociativeCache.run_lru_filter
  *   rw_multicore   <->  SharedLLCSystem.run over _session_stamped
  *
@@ -291,8 +291,8 @@ static void wb_issue(LaneCtx *l, double *cycles, double *write_stall) {
 }
 
 /* One bounded replay of lane accesses [start, stop): the shared inner
- * loop of rw_run_trace and rw_multicore.  Mirrors _run_trace_stamped /
- * _session_stamped access-for-access. */
+ * loop of rw_run_trace and rw_multicore.  Mirrors _session_stamped
+ * access-for-access. */
 static int64_t run_lane(CacheCtx *c, LaneCtx *l, int64_t start, int64_t stop) {
     const int64_t *set_stream = l->set_stream;
     const int64_t *tag_stream = l->tag_stream;

@@ -13,9 +13,11 @@ verify fuzzers hold that equivalence.
 
 Supported configurations:
 
-* recency-stamped plans (``plan.stamp_policy``) with no full observer,
-  no bypass, no evict training, no eviction listener, no prefetches in
-  flight, and no PC consumers -- the exact ``_run_trace_stamped`` gate;
+* recency-stamped plans the cache's stamped gate admits
+  (:meth:`~repro.cache.cache.SetAssociativeCache.stamped_block_reason`:
+  no full observer, no bypass, no evict training, no access or eviction
+  listener, no prefetches in flight, no PC consumers) -- the plans the
+  dict driver replays through ``_session_stamped``;
 * victim selection: plain min-stamp (LRU), the RWP partitioned
   min-stamp, or the core-aware RWP scan (``<= 64`` policy cores);
 * sampling via ``ReadWriteSampler`` / ``CoreReadWriteSampler``, epochs
@@ -128,45 +130,6 @@ def _victim_block_reason(cache) -> str:
     )
 
 
-def _plan_block_reason(cache) -> Optional[str]:
-    """Why the ``_run_trace_stamped`` gate declines, or None if it won't.
-
-    The checks mirror the gate in :func:`_plan_eligible` one-for-one;
-    the strings feed :attr:`KernelRuntime.fallback_reason`.
-    """
-    if cache.plan.stamp_policy is None:
-        return "policy is outside the stamped fast path"
-    if cache._observe is not None:
-        return "policy installs a full observe hook"
-    if cache._should_bypass is not None:
-        return "policy installs a bypass hook"
-    if cache._on_evict is not None:
-        return "policy trains on evictions"
-    if cache.access_listener is not None:
-        return "sharer tracking is active (access listener attached)"
-    if cache.eviction_listener is not None:
-        return "an eviction listener is attached"
-    if cache._prefetch_active:
-        return "prefetching is active"
-    if cache._needs_pc:
-        return "policy needs per-access PCs"
-    return None
-
-
-def _plan_eligible(cache) -> bool:
-    """The ``_run_trace_stamped`` eligibility gate, verbatim."""
-    return (
-        cache.plan.stamp_policy is not None
-        and cache._observe is None
-        and cache._should_bypass is None
-        and cache._on_evict is None
-        and cache.eviction_listener is None
-        and cache.access_listener is None
-        and not cache._prefetch_active
-        and not cache._needs_pc
-    )
-
-
 def bind_cache(cache, reasons: Optional[List[str]] = None) -> Optional[_CacheBinding]:
     """Gather ``cache`` into a ``CacheCtx``; None when unsupported.
 
@@ -181,7 +144,7 @@ def bind_cache(cache, reasons: Optional[List[str]] = None) -> Optional[_CacheBin
 
     if np is None:
         return decline("numpy is unavailable")
-    blocked = _plan_block_reason(cache)
+    blocked = cache.stamped_block_reason()
     if blocked is not None:
         return decline(blocked)
     kind = _victim_kind(cache)
@@ -401,7 +364,7 @@ class KernelRuntime:
 
     # -- single-cache replay ----------------------------------------------
     def try_run_trace(
-        self, cache, decoded, start, stop, timing, core, cycle_limit
+        self, cache, decoded, start, stop, timing, core
     ) -> Optional[int]:
         """Kernel counterpart of ``run_trace``; None -> dict fallback."""
         if start >= stop:
@@ -424,7 +387,7 @@ class KernelRuntime:
         lane.tag_stream = soa.ptr_int64(tag_arr)
         lane.write_stream = soa.ptr_uint8(write_arr)
         lane.core = core
-        lane.cycle_limit = inf if cycle_limit is None else cycle_limit
+        lane.cycle_limit = inf
         ring = None
         if timing is not None:
             try:

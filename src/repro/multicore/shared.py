@@ -19,10 +19,10 @@ core every time.  :meth:`SharedLLCSystem.run` is the epoch driver the
 experiments use: it observes that while one core runs, no other core's
 cycle count moves, so the scalar argmin scan keeps picking the same core
 until its own cycles cross a precomputed threshold.  Each such maximal
-run ("epoch") is handed to the batched LLC driver
-(:meth:`~repro.cache.cache.SetAssociativeCache.run_trace` with
-``cycle_limit``) over a shared per-core :class:`DecodedTrace` view --
-same global interleave, batched hot loop.  The equivalence is ulp-exact
+run ("epoch") is one bounded ``send`` to that core's batched LLC
+session (:meth:`~repro.cache.cache.SetAssociativeCache.run_trace_session`)
+over a shared per-core :class:`DecodedTrace` view -- same global
+interleave, batched hot loop.  The equivalence is ulp-exact
 (see :func:`_selection_limit`) and pinned by Hypothesis tests.
 """
 
@@ -190,7 +190,8 @@ def _selection_limit(bound_lo: float, bound_hi: float, penalty: float) -> float:
     higher-indexed core's (it wins those ties).  Only the running
     core's cycles move during its epoch, so both bounds are constants
     and the continuation condition collapses to ``raw < limit`` --
-    exactly the ``cycle_limit`` contract of the batched driver.
+    exactly the epoch ``limit`` contract of
+    :meth:`~repro.cache.cache.SetAssociativeCache.run_trace_session`.
     """
     t1 = _first_violation(bound_lo, penalty, strict=False)
     t2 = _first_violation(bound_hi, penalty, strict=True)

@@ -172,13 +172,13 @@ class TestFastPathGuard:
 
     def _ran_stamped(self, monkeypatch, cache, trace, timing):
         calls = []
-        original = SetAssociativeCache._run_trace_stamped
+        original = SetAssociativeCache._session_stamped
 
         def spy(self, *args, **kwargs):
             calls.append(1)
             return original(self, *args, **kwargs)
 
-        monkeypatch.setattr(SetAssociativeCache, "_run_trace_stamped", spy)
+        monkeypatch.setattr(SetAssociativeCache, "_session_stamped", spy)
         cache.run_trace(trace.decoded(cache.config), timing=timing)
         return bool(calls)
 

@@ -163,6 +163,25 @@ class TestCacheHits:
         assert warm.stats.cache_hits == 3
         assert warm.results == cold.results
 
+    def test_garbled_record_is_resimulated(self, tmp_path):
+        store = ResultStore(tmp_path)
+        job = RunJob("micro_fit", "lru", TINY)
+        store.put(job.key(), "run", {"garbled": 1})
+        outcome = run_jobs([job], store=store)
+        assert outcome.stats.simulated == 1
+        assert outcome.stats.cache_hits == 0
+        expected = run_benchmark("micro_fit", "lru", TINY)
+        assert outcome.results[job] == expected
+        # The re-simulated result overwrote the garbled record.
+        assert job.decode(store.get(job.key())["result"]) == expected
+
+    def test_run_benchmark_resimulates_garbled_record(self, tmp_path):
+        store = ResultStore(tmp_path)
+        job = RunJob("micro_stream", "lru", TINY)
+        store.put(job.key(), "run", {"garbled": 1})
+        expected = run_benchmark("micro_stream", "lru", TINY)
+        assert run_benchmark("micro_stream", "lru", TINY, store=store) == expected
+
     def test_run_benchmark_store_write_through(self, tmp_path):
         store = ResultStore(tmp_path)
         first = run_benchmark("micro_stream", "lru", TINY, store=store)

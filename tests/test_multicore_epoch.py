@@ -53,7 +53,19 @@ def core_traces(num_cores, seed, length):
 
 
 @pytest.mark.parametrize(
-    "policy", ["lru", "drrip", "ship", "rwp", "rwp-core", "ucp", "tadrrip", "pipp"]
+    "policy",
+    [
+        "lru",
+        "dip",
+        "drrip",
+        "ship",
+        "rrp",
+        "rwp",
+        "rwp-core",
+        "ucp",
+        "tadrrip",
+        "pipp",
+    ],
 )
 def test_epoch_driver_equals_scalar(policy):
     traces = core_traces(4, 2101, 768)
@@ -101,7 +113,7 @@ if HAVE_HYPOTHESIS:
             min_size=1,
             max_size=4,
         ),
-        policy=st.sampled_from(["lru", "rwp", "rwp-core", "ucp"]),
+        policy=st.sampled_from(["lru", "rwp", "rwp-core", "ucp", "tadrrip", "rrp"]),
         warmup_frac=st.integers(0, 3),
     )
     def test_property_epoch_equals_scalar(cores, policy, warmup_frac):
