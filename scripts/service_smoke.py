@@ -5,12 +5,15 @@ Spins up the whole topology as real subprocesses -- two ``repro
 worker`` processes and one ``repro serve`` front-end over a shared
 dir queue and result store -- then drives it like a remote client:
 
-1. POST a small sweep grid to the server,
-2. poll ``GET /sweep/<id>`` until the workers drain the queue,
-3. assert the served weighted-speedup table matches an in-process
+1. write a garbled record (``{"garbled": 1}``) under one job's key into
+   the shared store, which the service must treat as a miss,
+2. POST a small sweep grid to the server,
+3. poll ``GET /sweep/<id>`` until the workers drain the queue,
+4. assert the served weighted-speedup table matches an in-process
    serial run of the identical grid (the distributed == serial
    contract), and
-4. assert ``GET /result/<key>`` serves every stored record.
+5. assert ``GET /result/<key>`` serves every stored record, the
+   garbled key's re-simulated one included.
 
 Exit status 0 means the service stack works end to end.
 """
@@ -28,6 +31,9 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 SRC = str(REPO / "src")
+sys.path.insert(0, SRC)
+
+from repro.engine import ResultStore, SweepSpec, run_jobs  # noqa: E402
 
 #: small enough to finish in seconds, big enough to split across workers.
 SWEEP = {
@@ -67,14 +73,10 @@ def wait_for_server(base: str, deadline: float) -> None:
     raise SystemExit("server never became healthy")
 
 
-def serial_table() -> dict:
-    sys.path.insert(0, SRC)
-    from repro.engine import ResultStore, SweepSpec, run_jobs
-
+def serial_outcome():
     spec = SweepSpec.from_dict(SWEEP)
     with tempfile.TemporaryDirectory() as tmp:
-        outcome = run_jobs(spec.jobs(), store=ResultStore(tmp))
-    return spec.table(spec.grid(outcome.results))
+        return run_jobs(spec.jobs(), store=ResultStore(tmp))
 
 
 def main() -> int:
@@ -96,6 +98,10 @@ def main() -> int:
             "--host", "127.0.0.1", "--port", str(port),
         )
         base = f"http://127.0.0.1:{port}"
+        spec = SweepSpec.from_dict(SWEEP)
+        garbled = spec.jobs()[0]
+        ResultStore(store_root).put(garbled.key(), garbled.kind, {"garbled": 1})
+        print(f"garbled the stored record of {garbled.label}")
         try:
             wait_for_server(base, time.time() + 30)
 
@@ -129,19 +135,24 @@ def main() -> int:
                 time.sleep(1.0)
 
             served = status["table"]
-            expected = serial_table()
+            serial = serial_outcome()
+            expected = spec.table(spec.grid(serial.results))
             if served != expected:
                 print("served table:", json.dumps(served, indent=2))
                 print("serial table:", json.dumps(expected, indent=2))
                 raise SystemExit("distributed table != serial table")
             print("table matches the in-process serial run")
 
-            # Every job's record is served straight from the store.
-            from repro.engine import SweepSpec  # path set by serial_table
-
-            for job in SweepSpec.from_dict(SWEEP).jobs():
+            # Every job's record is served straight from the store; the
+            # garbled one was re-simulated and overwritten.
+            for job in spec.jobs():
                 record = get_json(f"{base}/result/{job.key()}")
                 assert record["key"] == job.key(), record
+            record = get_json(f"{base}/result/{garbled.key()}")
+            if record["result"] != garbled.encode(serial.results[garbled]):
+                raise SystemExit(
+                    f"garbled record was not re-simulated: {record['result']}"
+                )
             print(f"all {total} results served via GET /result/<key>")
 
             health = get_json(base + "/healthz")

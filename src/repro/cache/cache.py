@@ -23,10 +23,11 @@ The access pipeline has three layers (see ``docs/ARCHITECTURE.md``):
 3. the policy's ABI v2 :class:`~repro.cache.policy.DispatchPlan` tells
    the core which hooks exist, so no-op hooks are never called.
 
-The batch session has one loop per plan shape: ``_session_stamped``
-for recency-stamped demand-only plans, ``_session_generic`` for the
-rest.  The scalar path owns the cold paths (:meth:`_miss_path` /
-:meth:`_evict`), which the sessions inline in the same operation
+The batch session is one loop (``_session``) for every plan shape; a
+recency-stamped plan with a min-stamp or partitioned min-stamp victim
+keeps its lookup dicts in recency order and picks that victim inline.
+The scalar path owns the cold paths (:meth:`_miss_path` /
+:meth:`_evict`), which the session inlines in the same operation
 order; the differential harness and the batch equivalence property
 tests hold the drivers bit-identical.
 """
@@ -147,14 +148,15 @@ class SetAssociativeCache:
         #: skip the per-hit ``line.prefetched`` check for demand-only runs.
         self._prefetch_active = False
         #: True while every set's lookup dict is known to be in recency
-        #: (stamp) order -- the invariant `_session_stamped` maintains.
+        #: (stamp) order -- the invariant the session loop maintains for
+        #: plans with a min-stamp or partitioned min-stamp victim.
         #: When it holds across calls, the per-call stamp-sorted rebuild
         #: is skipped, which is what makes many small batched runs (the
         #: multicore epoch driver) as cheap per access as one big run.
         self._lookup_ordered = False
         # Cached [set.lookup] / [set.lookup.get] tables for the batch
-        # drivers; dict objects are only ever replaced by the stamped
-        # rebuild, which updates these lists in place.
+        # drivers; dict objects are only ever replaced by the recency
+        # rebuild (_ordered_lookups), which updates these lists in place.
         self._lookups: List[Dict[int, CacheLine]] | None = None
         self._getters: list | None = None
         #: optional ``repro.kernels.KernelRuntime``: when set, the batch
@@ -396,6 +398,7 @@ class SetAssociativeCache:
             if ran is not None:
                 return ran
         session = self._session(decoded, timing, core)
+        next(session)
         ran, _ = session.send((start, stop, inf, False))
         session.close()
         return ran
@@ -472,17 +475,20 @@ class SetAssociativeCache:
         if timing is None:
             raise ValueError("run_trace_session requires a timing model")
         self._check_geometry(decoded)
-        return self._session(decoded, timing, core)
+        session = self._session(decoded, timing, core)
+        next(session)
+        return session
 
     def stamped_block_reason(self) -> str | None:
-        """Why the stamped batch loop cannot replay this cache, or None.
+        """Why the SoA kernels cannot replay this cache, or None.
 
-        The stamped loop (and the SoA kernels, which cover the same
-        shape) needs a recency-stamped plan with none of the optional
-        machinery: no full observe, no bypass, no evict training, no
-        access or eviction listener, no prefetches in flight, no PC
-        consumers.  The reason strings are the kernel runtime's
-        fallback reasons.
+        Gates the C kernels (``kernels.runner.bind_cache``) and the
+        L1/L2 filter (:meth:`lru_filter_eligible`), not the dict
+        session, which replays every plan.  Both need a
+        recency-stamped plan with none of the optional machinery: no
+        full observe, no bypass, no evict training, no access or
+        eviction listener, no prefetches in flight, no PC consumers.
+        The reason strings are the kernel runtime's fallback reasons.
         """
         if self.plan.stamp_policy is None:
             return "policy is outside the stamped fast path"
@@ -501,15 +507,6 @@ class SetAssociativeCache:
         if self._needs_pc:
             return "policy needs per-access PCs"
         return None
-
-    def _session(self, decoded, timing, core: int):
-        """The primed batch session for this cache's plan shape."""
-        if timing is not None and self.stamped_block_reason() is None:
-            session = self._session_stamped(decoded, timing, core)
-        else:
-            session = self._session_generic(decoded, timing, core)
-        next(session)
-        return session
 
     def _ordered_lookups(self) -> Tuple[List[Dict[int, CacheLine]], list]:
         """The lookup tables, every set's dict in recency (stamp) order.
@@ -534,284 +531,8 @@ class SetAssociativeCache:
             self._lookup_ordered = True
         return lookups, getters
 
-    def _session_stamped(self, decoded, timing, core: int):
-        """Session loop specialized for recency-stamped demand-only replay.
-
-        Taken when :meth:`stamped_block_reason` finds nothing in the way
-        and a timing model is attached: every branch the generic loop
-        re-checks per access is dead here.
-
-        For ``victim_is_min_stamp`` / ``victim_is_partition_min_stamp``
-        policies the per-set lookup dict is kept in recency (= stamp)
-        order (see :meth:`_ordered_lookups`): every hit moves its line
-        to the dict tail and every fill inserts at the tail.  The LRU
-        line is then always the *first* dict entry, so victim selection
-        is O(1) for LRU and an early-exit partition probe for RWP
-        instead of a full way scan.  Stamps stay authoritative (the
-        scalar path still scans them).
-
-        Flushable counters are buffered in locals until ``close()``.
-        Cross-session shared state -- the policy stamp clock and the
-        sampler epoch countdown -- is re-read at every epoch and written
-        back at every yield, so N interleaved per-core sessions observe
-        each other exactly like consecutive scalar accesses would.
-        """
-        sets = self.sets
-        stats = self.stats
-        plan = self.plan
-        stamp = plan.stamp_policy
-        on_sample = self._on_sample
-        stride = self._sample_stride
-        period = self._epoch_period
-        victim = self._victim
-        min_stamp_victim = plan.min_stamp_victim
-        partition_victim = plan.partition_min_stamp_victim
-        reorder = min_stamp_victim or partition_victim
-        # Every live session maintains move-to-end, so the recency
-        # order holds across the whole interleaved run.
-        if reorder:
-            lookups, getters = self._ordered_lookups()
-        else:
-            lookups, getters = self._lookup_tables()
-        ways = self.ways
-        index_bits = self._index_bits
-        offset_bits = self._offset_bits
-
-        # Per-core tallies and buffered cache-wide deltas (flushed on
-        # close; addition commutes across sessions).
-        rh = rm = wh = wm = 0
-        ticks = 0
-        evictions = dirty_evictions = writebacks = 0
-        evicted_ro = evicted_wo = evicted_rw = 0
-
-        set_stream = decoded.set_indices
-        tag_stream = decoded.tags
-        write_stream = decoded.is_write
-        # Per-access cycle costs are precomputed per (trace, CPI) --
-        # same IEEE products the scalar path multiplies out per access
-        # -- and retired instructions come from the gap cumsum.
-        cycle_stream = decoded.cycle_gaps(timing.core.base_cpi)
-        gap_cumsum = decoded.gap_cumsum()
-        instructions = timing.instructions
-        mlp = timing.core.mlp
-        # Same operands as TimingModel.read_hit/read_miss compute per
-        # call, so the hoisted constants are bit-identical floats.
-        hit_stall = timing.llc_hit_latency / mlp
-        miss_stall = timing.memory.latency / mlp
-        cycles = timing.cycles
-        read_stall = timing.read_stall_cycles
-        write_stall = timing.write_stall_cycles
-        # Write-buffer state, hoisted: the loop inlines
-        # WriteBufferModel.issue (same arithmetic, same order).
-        write_buffer = timing.write_buffer
-        wb_completions = write_buffer._completions
-        wb_pop = wb_completions.popleft
-        wb_append = wb_completions.append
-        wb_entries = write_buffer.entries
-        wb_drain = write_buffer.drain_cycles
-        wb_server_free = write_buffer._server_free
-        wb_stall_cycles = write_buffer.stall_cycles
-        wb_writes = write_buffer.total_writes
-
-        try:
-            request = yield None
-            while True:
-                if request is None:
-                    timing.cycles = cycles
-                    timing.instructions = instructions
-                    request = yield (rh, rm, wh, wm)
-                    continue
-                start, stop, limit, reset = request
-                if reset:
-                    timing.reset()
-                    cycles = 0.0
-                    read_stall = 0.0
-                    write_stall = 0.0
-                    instructions = 0
-                    write_buffer = timing.write_buffer
-                    wb_completions = write_buffer._completions
-                    wb_pop = wb_completions.popleft
-                    wb_append = wb_completions.append
-                    wb_server_free = write_buffer._server_free
-                    wb_stall_cycles = 0.0
-                    wb_writes = 0
-                clock = stamp._clock
-                epoch_left = self._epoch_left
-                ran = 0
-                for i in range(start, stop):
-                    # The first access is unconditional: the caller's
-                    # selection already committed it (scalar semantics).
-                    if ran and cycles >= limit:
-                        break
-                    ran += 1
-                    cycles += cycle_stream[i]
-                    si = set_stream[i]
-                    tag = tag_stream[i]
-                    w = write_stream[i]
-                    if stride and not si % stride:
-                        on_sample(si, tag, w, 0, core)
-                    if period:
-                        epoch_left -= 1
-                        if not epoch_left:
-                            epoch_left = period
-                            self._on_epoch()
-                    line = getters[si](tag)
-                    if line is not None:
-                        if reorder:
-                            # move-to-end keeps dict order == stamp order
-                            lookup = lookups[si]
-                            del lookup[tag]
-                            lookup[tag] = line
-                        if w:
-                            wh += 1
-                            if not line.dirty:
-                                sets[si].dirty_lines += 1
-                            line.dirty = True
-                            line.write_seen = True
-                            clock += 1
-                            line.stamp = clock
-                        else:
-                            rh += 1
-                            line.read_seen = True
-                            clock += 1
-                            line.stamp = clock
-                            read_stall += hit_stall
-                            cycles += hit_stall
-                        continue
-
-                    # Miss (never bypassed here): fill an invalid way or evict.
-                    if w:
-                        wm += 1
-                    else:
-                        rm += 1
-                    cache_set = sets[si]
-                    lookup = lookups[si]
-                    wb = -1
-                    if cache_set.filled < ways:
-                        for line in cache_set.lines:
-                            if not line.valid:
-                                break
-                        cache_set.filled += 1
-                    else:
-                        if min_stamp_victim:
-                            # recency-ordered dict: the first entry IS
-                            # the LRU (minimal-stamp) line.
-                            line = next(iter(lookup.values()))
-                        elif partition_victim:
-                            # inlined RWP victim (the selection
-                            # victim_is_partition_min_stamp promises):
-                            # partition choice from the maintained dirty
-                            # count, then the first dict entry in that
-                            # partition -- its LRU line, or the first
-                            # entry overall when the partition is empty.
-                            dc = cache_set.dirty_lines
-                            td = ways - stamp.target_clean
-                            if dc > td:
-                                evict_dirty = True
-                            elif dc < td:
-                                evict_dirty = False
-                            else:
-                                evict_dirty = w
-                            values = iter(lookup.values())
-                            if evict_dirty:
-                                if not dc:
-                                    line = next(values)
-                                else:
-                                    for line in values:
-                                        if line.dirty:
-                                            break
-                            elif dc == ways:
-                                line = next(values)
-                            else:
-                                for line in values:
-                                    if not line.dirty:
-                                        break
-                        else:
-                            line = victim(cache_set, si, w, 0, core)
-                        evictions += 1
-                        dirty = line.dirty
-                        if dirty:
-                            dirty_evictions += 1
-                            cache_set.dirty_lines -= 1
-                        # No prefetched lines can exist on this path.
-                        if line.read_seen:
-                            if line.write_seen:
-                                evicted_rw += 1
-                            else:
-                                evicted_ro += 1
-                        else:
-                            evicted_wo += 1
-                        del lookup[line.tag]
-                        if dirty:
-                            writebacks += 1
-                            wb = ((line.tag << index_bits) | si) << offset_bits
-                    # inlined CacheLine.reset_for_fill + recency stamp
-                    line.tag = tag
-                    line.valid = True
-                    line.dirty = w
-                    line.rrpv = 0
-                    line.signature = 0
-                    line.outcome = 0
-                    line.owner = core
-                    line.read_seen = not w
-                    line.write_seen = w
-                    line.prefetched = False
-                    if w:
-                        cache_set.dirty_lines += 1
-                    clock += 1
-                    line.stamp = clock
-                    lookup[tag] = line
-                    if not w:
-                        read_stall += miss_stall
-                        cycles += miss_stall
-                    if wb >= 0:
-                        # inlined WriteBufferModel.issue(cycles)
-                        while wb_completions and wb_completions[0] <= cycles:
-                            wb_pop()
-                        if len(wb_completions) >= wb_entries:
-                            stall = wb_pop() - cycles
-                            wb_stall_cycles += stall
-                            write_stall += stall
-                            cycles += stall
-                        wb_server_free = (
-                            cycles
-                            if cycles > wb_server_free
-                            else wb_server_free
-                        ) + wb_drain
-                        wb_append(wb_server_free)
-                        wb_writes += 1
-
-                stamp._clock = clock
-                if period:
-                    self._epoch_left = epoch_left
-                ticks += ran
-                if ran:
-                    base = gap_cumsum[start - 1] if start else 0
-                    instructions += gap_cumsum[start + ran - 1] - base
-                request = yield (ran, cycles)
-        finally:
-            self.tick += ticks
-            self._lookup_ordered = bool(reorder)
-            stats.read_hits += rh
-            stats.write_hits += wh
-            stats.read_misses += rm
-            stats.write_misses += wm
-            stats.evictions += evictions
-            stats.dirty_evictions += dirty_evictions
-            stats.writebacks += writebacks
-            stats.evicted_read_only += evicted_ro
-            stats.evicted_write_only += evicted_wo
-            stats.evicted_read_write += evicted_rw
-            timing.cycles = cycles
-            timing.instructions = instructions
-            timing.read_stall_cycles = read_stall
-            timing.write_stall_cycles = write_stall
-            write_buffer._server_free = wb_server_free
-            write_buffer.stall_cycles = wb_stall_cycles
-            write_buffer.total_writes = wb_writes
-
-    def _session_generic(self, decoded, timing, core: int):
-        """Session loop for every plan the stamped loop rejects.
+    def _session(self, decoded, timing, core: int):
+        """The batch session generator: the one dict replay loop.
 
         Hoists every per-access attribute chase into locals and inlines
         the hit path and the miss path with the same operation order as
@@ -822,18 +543,27 @@ class SetAssociativeCache:
         model, computing each access's cycle cost as ``gap * base_cpi``
         -- the IEEE product ``TimingModel.advance`` computes.
 
-        Buffering and cross-session state follow
-        :meth:`_session_stamped`: counters, ``tick`` and timing flush on
-        ``close()``; a recency-stamped policy's clock and the sampler
-        epoch countdown are re-read at every epoch and written back at
-        every yield.
+        Recency-stamped plans (see ``RecencyStampMixin``) stamp lines
+        inline from a hoisted clock.  When such a plan also declares
+        ``victim_is_min_stamp`` / ``victim_is_partition_min_stamp``,
+        the per-set lookup dict is kept in recency (= stamp) order
+        (see :meth:`_ordered_lookups`): every hit moves its line to the
+        dict tail and every fill inserts at the tail.  The LRU line is
+        then always the *first* dict entry, so victim selection is O(1)
+        for LRU and an early-exit partition probe for RWP instead of a
+        ``victim()`` call and a full way scan.  Stamps stay
+        authoritative (the scalar path still scans them).
+
+        Counters, ``tick`` and timing are buffered in locals and flush
+        on ``close()``.  Cross-session shared state -- the policy stamp
+        clock and the sampler epoch countdown -- is re-read at every
+        epoch and written back at every yield, so N interleaved per-core
+        sessions observe each other exactly like consecutive scalar
+        accesses would.
         """
-        # Hits here bump stamps without moving dict entries, so the
-        # stamped loop's recency-order invariant dies.
-        self._lookup_ordered = False
         sets = self.sets
-        lookups, _ = self._lookup_tables()
         stats = self.stats
+        plan = self.plan
         observe = self._observe
         access_listener = self.access_listener
         on_sample = self._on_sample
@@ -843,15 +573,27 @@ class SetAssociativeCache:
         pre_active = self._pre_active
         on_hit = self._on_hit
         on_fill = self._on_fill
-        # Recency-stamped policies (see RecencyStampMixin): stamp lines
-        # inline from a hoisted clock instead of calling the
-        # on_hit/on_fill hook pair on every access.
-        stamp = self.plan.stamp_policy
+        # Recency-stamped policies: stamp lines inline from a hoisted
+        # clock instead of calling the on_hit/on_fill hook pair on
+        # every access.
+        stamp = plan.stamp_policy
         stamping = stamp is not None
         clock = 0
         if stamping:
             on_hit = None
             on_fill = None
+        min_stamp_victim = stamping and plan.min_stamp_victim
+        partition_victim = stamping and plan.partition_min_stamp_victim
+        reorder = min_stamp_victim or partition_victim
+        if reorder:
+            # Every live session maintains move-to-end, so the recency
+            # order holds across the whole interleaved run.
+            lookups, _ = self._ordered_lookups()
+        else:
+            # Hits here bump stamps without moving dict entries, so the
+            # recency-order invariant dies.
+            self._lookup_ordered = False
+            lookups, _ = self._lookup_tables()
         should_bypass = self._should_bypass
         victim = self._victim
         on_evict = self._on_evict
@@ -861,7 +603,8 @@ class SetAssociativeCache:
         ways = self.ways
         prefetch_active = self._prefetch_active
 
-        # Per-core tallies and buffered cache-wide deltas.
+        # Per-core tallies and buffered cache-wide deltas (flushed on
+        # close; addition commutes across sessions).
         rh = rm = wh = wm = 0
         ticks = 0
         prefetch_useful = bypasses = 0
@@ -879,11 +622,15 @@ class SetAssociativeCache:
             base_cpi = timing.core.base_cpi
             instructions = timing.instructions
             mlp = timing.core.mlp
+            # Same operands as TimingModel.read_hit/read_miss compute per
+            # call, so the hoisted constants are bit-identical floats.
             hit_stall = timing.llc_hit_latency / mlp
             miss_stall = timing.memory.latency / mlp
             cycles = timing.cycles
             read_stall = timing.read_stall_cycles
             write_stall = timing.write_stall_cycles
+            # Write-buffer state, hoisted: the loop inlines
+            # WriteBufferModel.issue (same arithmetic, same order).
             write_buffer = timing.write_buffer
             wb_completions = write_buffer._completions
             wb_pop = wb_completions.popleft
@@ -922,7 +669,8 @@ class SetAssociativeCache:
                 epoch_left = self._epoch_left
                 ran = 0
                 for i in range(start, stop):
-                    # The first access is unconditional (scalar semantics).
+                    # The first access is unconditional: the caller's
+                    # selection already committed it (scalar semantics).
                     if ran and cycles >= limit:
                         break
                     ran += 1
@@ -950,6 +698,10 @@ class SetAssociativeCache:
                     lookup = lookups[si]
                     line = lookup.get(tag)
                     if line is not None:
+                        if reorder:
+                            # move-to-end keeps dict order == stamp order
+                            del lookup[tag]
+                            lookup[tag] = line
                         if prefetch_active and line.prefetched:
                             prefetch_useful += 1
                             line.prefetched = False
@@ -1015,7 +767,41 @@ class SetAssociativeCache:
                                 break
                         cache_set.filled += 1
                     else:
-                        line = victim(cache_set, si, w, pc, core)
+                        if min_stamp_victim:
+                            # recency-ordered dict: the first entry IS
+                            # the LRU (minimal-stamp) line.
+                            line = next(iter(lookup.values()))
+                        elif partition_victim:
+                            # inlined RWP victim (the selection
+                            # victim_is_partition_min_stamp promises):
+                            # partition choice from the maintained dirty
+                            # count, then the first dict entry in that
+                            # partition -- its LRU line, or the first
+                            # entry overall when the partition is empty.
+                            dc = cache_set.dirty_lines
+                            td = ways - stamp.target_clean
+                            if dc > td:
+                                evict_dirty = True
+                            elif dc < td:
+                                evict_dirty = False
+                            else:
+                                evict_dirty = w
+                            values = iter(lookup.values())
+                            if evict_dirty:
+                                if not dc:
+                                    line = next(values)
+                                else:
+                                    for line in values:
+                                        if line.dirty:
+                                            break
+                            elif dc == ways:
+                                line = next(values)
+                            else:
+                                for line in values:
+                                    if not line.dirty:
+                                        break
+                        else:
+                            line = victim(cache_set, si, w, pc, core)
                         if on_evict is not None:
                             on_evict(line, si)
                         evictions += 1
@@ -1091,6 +877,7 @@ class SetAssociativeCache:
                 request = yield (ran, cycles)
         finally:
             self.tick += ticks
+            self._lookup_ordered = bool(reorder)
             stats.read_hits += rh
             stats.write_hits += wh
             stats.read_misses += rm

@@ -16,8 +16,8 @@ Supported configurations:
 * recency-stamped plans the cache's stamped gate admits
   (:meth:`~repro.cache.cache.SetAssociativeCache.stamped_block_reason`:
   no full observer, no bypass, no evict training, no access or eviction
-  listener, no prefetches in flight, no PC consumers) -- the plans the
-  dict driver replays through ``_session_stamped``;
+  listener, no prefetches in flight, no PC consumers), which the dict
+  session replays with its inlined recency-ordered victim;
 * victim selection: plain min-stamp (LRU), the RWP partitioned
   min-stamp, or the core-aware RWP scan (``<= 64`` policy cores);
 * sampling via ``ReadWriteSampler`` / ``CoreReadWriteSampler``, epochs

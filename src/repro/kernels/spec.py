@@ -14,9 +14,9 @@ KernelSpec(name='native', kwargs=())
 
 Kernel names:
 
-``dict``    the reference dict-driven batch sessions
-            (``_session_stamped`` and ``_session_generic``).  The
-            default; every other kernel must be bit-identical to it.
+``dict``    the reference dict-driven batch session (the one
+            ``_session`` loop).  The default; every other kernel must
+            be bit-identical to it.
 ``native``  struct-of-arrays state replayed by a small C kernel,
             compiled on demand with the system compiler and bound via
             ctypes (see :mod:`repro.kernels.build`).  Falls back to

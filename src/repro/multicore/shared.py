@@ -296,11 +296,10 @@ class SharedLLCSystem:
     def _bind_directory(self) -> SharerDirectory:
         """Fresh sharer tracking for one global-address run.
 
-        The listener hooks deliberately disqualify the LLC from the
-        stamped batch fast paths and the SoA kernels: the generic
-        paths they force call every hook per access in scalar order,
-        which is what makes batch==scalar hold for sharing runs by
-        construction.
+        The listener hooks deliberately disqualify the LLC from the SoA
+        kernels: the dict session calls every hook per access in
+        scalar order, which is what makes batch==scalar hold for
+        sharing runs by construction.
         """
         directory = SharerDirectory(self.config.llc, self.num_cores)
         self.sharer_directory = directory

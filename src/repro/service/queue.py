@@ -171,7 +171,7 @@ class LocalQueue(JobQueue):
             if self._done.get(key):
                 receipt.done.append(key)
                 continue
-            if store is not None and store.get(key) is not None:
+            if store is not None and store.get_result(key, job.decode) is not None:
                 receipt.warm.append(key)
                 self._done[key] = "hit"
                 continue
@@ -204,7 +204,7 @@ class LocalQueue(JobQueue):
         except SweepError:
             for job in job_list:
                 key = job.key()
-                if store is None or store.get(key) is None:
+                if store is None or store.get_result(key, job.decode) is None:
                     self._failures[key] = "job failed (see sweep output)"
                     self._done[key] = "error"
                 else:
@@ -300,7 +300,7 @@ class DirQueue(JobQueue):
             if self._is_terminal(key):
                 receipt.done.append(key)
                 continue
-            if store is not None and store.get(key) is not None:
+            if store is not None and store.get_result(key, job.decode) is not None:
                 receipt.warm.append(key)
                 continue
             if (

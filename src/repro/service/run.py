@@ -48,10 +48,18 @@ def wait_for_sweep(
     """
     jobs = spec.jobs()
     keys = [job.key() for job in jobs]
+    # Decoded results by key; a record that does not decode is not done
+    # (a worker re-simulates it and overwrites the record).
+    results = {}
     started = time.perf_counter()
     last_done = -1
     while True:
-        done = sum(1 for key in keys if store.get(key) is not None)
+        for job, key in zip(jobs, keys):
+            if key not in results:
+                result = store.get_result(key, job.decode)
+                if result is not None:
+                    results[key] = result
+        done = sum(1 for key in keys if key in results)
         if progress and done != last_done:
             counts = queue.counts()
             print(
@@ -67,7 +75,7 @@ def wait_for_sweep(
         fatal = {
             key: failures[key]
             for key in keys
-            if key in failures and store.get(key) is None
+            if key in failures and key not in results
         }
         if fatal:
             details = "; ".join(
@@ -91,8 +99,7 @@ def wait_for_sweep(
     stats = SweepStats(total=len(jobs))
     outcome = SweepOutcome(stats=stats)
     for job, key in zip(jobs, keys):
-        record = store.get(key)
-        outcome.results[job] = job.decode(record["result"])
+        outcome.results[job] = results[key]
     key_set = set(keys)
     statuses = {}
     for entry in queue.journal.entries():

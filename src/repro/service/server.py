@@ -112,7 +112,9 @@ class SweepService:
                     "labels": [job.label for job in jobs],
                 }
             warm = sum(
-                1 for job in jobs if self.store.get(job.key()) is not None
+                1
+                for job in jobs
+                if self.store.get_result(job.key(), job.decode) is not None
             )
             enqueued = 0 if known else len(jobs) - warm
             if not known or not self._thread_alive(sweep_id):
@@ -165,19 +167,22 @@ class SweepService:
             return None
         self._bump("status_requests")
         spec = SweepSpec.from_dict(record["spec"])
+        jobs = {job.key(): job for job in spec.jobs()}
         keys = list(record["keys"])
-        stored = {
-            key: self.store.get(key) for key in keys
+        # A record that does not decode counts as not stored: a worker
+        # re-simulates it and overwrites the record.
+        results = {
+            key: self.store.get_result(key, jobs[key].decode) for key in keys
         }
         self._bump("table_store_reads", len(keys))
-        done = sum(1 for rec in stored.values() if rec is not None)
+        done = sum(1 for result in results.values() if result is not None)
         failures = self.queue.failures()
         with self._lock:
             local_error = self._local_errors.get(sweep_id)
         failed = {
             key: failures[key]
             for key in keys
-            if key in failures and stored[key] is None
+            if key in failures and results[key] is None
         }
         complete = done == len(keys)
         status: Dict[str, object] = {
@@ -197,13 +202,7 @@ class SweepService:
         if local_error and not complete:
             status["error"] = local_error
         if complete:
-            jobs = spec.jobs()
-            grid = spec.grid(
-                {
-                    job: job.decode(stored[job.key()]["result"])
-                    for job in jobs
-                }
-            )
+            grid = spec.grid({jobs[key]: results[key] for key in keys})
             status["table"] = spec.table(grid)
             self._bump("tables_served")
         return status

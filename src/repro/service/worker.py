@@ -67,10 +67,11 @@ class Worker:
     def process_one(self, lease: Lease, stats: WorkerStats) -> None:
         """Execute (or serve) one leased job and publish everything."""
         key = lease.job_id
-        record = self.store.get(key)
-        if record is not None:
+        if self.store.get_result(key, lease.job.decode) is not None:
             # Warm key: another worker (or an earlier sweep) already
             # published this result; serving it costs zero simulation.
+            # A record that does not decode is re-simulated and the
+            # ``put`` below overwrites it.
             stats.hits += 1
             self.journal.append(
                 key, lease.job.label, "hit", 0.0, worker=self.worker_id

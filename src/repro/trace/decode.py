@@ -44,8 +44,6 @@ class DecodedTrace:
         "offset_bits",
         "index_bits",
         "name",
-        "_cycle_gaps",
-        "_gap_cumsum",
         "_np_streams",
         "_np_cycles",
     )
@@ -69,66 +67,11 @@ class DecodedTrace:
         self.offset_bits = offset_bits
         self.index_bits = index_bits
         self.name = name
-        self._cycle_gaps: dict = {}
-        self._gap_cumsum = None
         self._np_streams = None
         self._np_cycles: dict = {}
 
     def __len__(self) -> int:
         return len(self.set_indices)
-
-    def cycle_gaps(self, base_cpi: float) -> List[float]:
-        """Memoized ``gap * base_cpi`` stream (cycle cost per access).
-
-        Each element is the same IEEE product the timing model computes
-        per access, hoisted out of the replay loop; the batch driver
-        adds it to the cycle counter directly.
-        """
-        cached = self._cycle_gaps.get(base_cpi)
-        if cached is None:
-            if np is None:
-                cached = [gap * base_cpi for gap in self.instr_gaps]
-            else:
-                try:
-                    cached = (
-                        np.asarray(self.instr_gaps, dtype=np.int64)
-                        * float(base_cpi)
-                    ).tolist()
-                except (OverflowError, TypeError, ValueError):
-                    cached = [gap * base_cpi for gap in self.instr_gaps]
-            self._cycle_gaps[base_cpi] = cached
-        return cached
-
-    def gap_cumsum(self) -> List[int]:
-        """Memoized inclusive cumsum of ``instr_gaps`` as a plain list.
-
-        A plain Python list (not a numpy array) so per-epoch consumers
-        -- the multicore session flushes retired instructions at every
-        epoch -- index native ints with no scalar boxing.
-        """
-        cum = self._gap_cumsum
-        if cum is None:
-            if np is not None:
-                try:
-                    cum = np.cumsum(
-                        np.asarray(self.instr_gaps, dtype=np.int64)
-                    ).tolist()
-                except (OverflowError, TypeError, ValueError):
-                    cum = None
-            if cum is None:
-                total = 0
-                cum = []
-                for gap in self.instr_gaps:
-                    total += gap
-                    cum.append(total)
-            self._gap_cumsum = cum
-        return cum
-
-    def gap_total(self, start: int, stop: int) -> int:
-        """Instructions retired in ``[start, stop)`` (memoized cumsum)."""
-        cum = self.gap_cumsum()
-        total = cum[stop - 1] if stop else 0
-        return total - (cum[start - 1] if start else 0)
 
     def kernel_streams(self) -> Optional[Tuple]:
         """Memoized ``(set, tag, write, gap)`` arrays for the C kernels.
@@ -157,14 +100,20 @@ class DecodedTrace:
     def kernel_cycles(self, base_cpi: float) -> Optional["np.ndarray"]:
         """Memoized float64 per-access cycle-cost array (timed kernels).
 
-        Element ``i`` is the identical IEEE double ``cycle_gaps`` holds
-        at ``i``; this is just the unboxed array form.
+        Element ``i`` is ``instr_gaps[i] * base_cpi``, the identical IEEE
+        double the timing model and the dict session compute per access.
+        ``None`` when numpy is absent or a gap exceeds int64 -- the
+        kernel layer then falls back to the dict driver.
         """
         if np is None:
             return None
         cached = self._np_cycles.get(base_cpi)
         if cached is None:
-            cached = np.asarray(self.cycle_gaps(base_cpi), dtype=np.float64)
+            try:
+                gaps = np.asarray(self.instr_gaps, dtype=np.int64)
+            except (OverflowError, TypeError, ValueError):
+                return None
+            cached = gaps * float(base_cpi)
             self._np_cycles[base_cpi] = cached
         return cached
 
@@ -181,8 +130,8 @@ class DecodedTrace:
         offset touches only the tag bits: set indices, write flags and
         instruction gaps are *shared* with this decode (same list
         objects), only the tag (and PC) streams are re-materialized.
-        The memoized ``cycle_gaps`` cache and the gap cumsum are shared
-        too, so N cores replaying one trace decode and derive it once.
+        The memoized kernel cycle-cost arrays are shared too, so N cores
+        replaying one trace decode and derive them once.
         """
         tag_granularity = 1 << (self.offset_bits + self.index_bits)
         if address_stride % tag_granularity:
@@ -207,10 +156,6 @@ class DecodedTrace:
             self.index_bits,
             name=f"{self.name}@core{core}",
         )
-        # Share the derived-stream memoization: the gap streams are the
-        # same objects, so the cached products/cumsum stay valid.
-        view._cycle_gaps = self._cycle_gaps
-        view._gap_cumsum = self.gap_cumsum()
         # The cycle-cost arrays depend only on the shared gap stream;
         # the set/tag kernel streams differ per view and stay per-view.
         view._np_cycles = self._np_cycles

@@ -1,11 +1,12 @@
 """Batch driver equivalence: ``run_trace`` == a scalar ``access`` loop.
 
-The batched replay (generic loop and the stamped fast path) promises
-bit-identical statistics, line state, and timing to calling
+The batched replay (the one session loop, including its inlined
+recency-ordered victim) promises bit-identical statistics, line state,
+timing and eviction-listener calls to calling
 :meth:`~repro.cache.cache.SetAssociativeCache.access` once per record.
 These property tests hold that promise across every oracle-backed
 policy and several geometries, plus directed tests for the decode
-layer's caching and the fast-path selection guard.
+layer's caching and the inlined-victim guard.
 """
 
 from __future__ import annotations
@@ -124,8 +125,8 @@ if HAVE_HYPOTHESIS:
     def test_run_trace_matches_scalar_loop(policy_name, data):
         """Batched replay is field-for-field identical to scalar access.
 
-        Covers both batch paths: ``timed=True`` sends lru/rwp down the
-        specialized stamped loop; ``timed=False`` runs the generic one.
+        Covers the timed and the untimed session; lru/rwp take the
+        inlined recency-ordered victim either way.
         """
         config, trace, timed = data.draw(trace_inputs())
         scalar = SetAssociativeCache(config, make_policy(policy_name))
@@ -147,9 +148,9 @@ if HAVE_HYPOTHESIS:
     def test_run_trace_split_matches_one_shot(policy_name, data):
         """Replaying [0, k) then [k, n) equals one [0, n) replay.
 
-        The stamped fast path rebuilds its recency-ordered lookup at
-        every entry, so re-entering mid-trace (warmup splits do this)
-        must land in exactly the same state.
+        The session keeps the recency-ordered lookup across calls (or
+        rebuilds it on entry), so re-entering mid-trace (warmup splits
+        do this) must land in exactly the same state.
         """
         config, trace, _ = data.draw(trace_inputs())
         k = data.draw(st.integers(0, len(trace)))
@@ -166,49 +167,102 @@ if HAVE_HYPOTHESIS:
         assert full_state(split) == full_state(whole)
         assert timing_state(split_timing) == timing_state(whole_timing)
 
+    @pytest.mark.parametrize("policy_name", ("lru", "rwp"))
+    @settings(max_examples=25)
+    @given(data=st.data())
+    def test_eviction_listener_matches_scalar_loop(policy_name, data):
+        """An eviction listener plus the inlined victim == scalar access.
+
+        The listener sees the same ``(address, dirty)`` calls in the
+        same order, and state and timing match field for field.
+        """
+        config, trace, timed = data.draw(trace_inputs())
+        scalar = SetAssociativeCache(config, make_policy(policy_name))
+        batched = SetAssociativeCache(config, make_policy(policy_name))
+        scalar_events = []
+        batched_events = []
+        scalar.eviction_listener = lambda a, d: scalar_events.append((a, d))
+        batched.eviction_listener = lambda a, d: batched_events.append((a, d))
+        scalar_timing = make_timing(config) if timed else None
+        batched_timing = make_timing(config) if timed else None
+
+        scalar_replay(scalar, trace, scalar_timing)
+        batched.run_trace(trace.decoded(config), timing=batched_timing)
+
+        assert batched_events == scalar_events
+        assert full_state(batched) == full_state(scalar)
+        if timed:
+            assert timing_state(batched_timing) == timing_state(scalar_timing)
+
 
 class TestFastPathGuard:
-    """The stamped loop must engage exactly when its plan proof holds."""
+    """Plans with a min-stamp victim must pick it inline, never call it.
 
-    def _ran_stamped(self, monkeypatch, cache, trace, timing):
+    A spy wraps the policy's ``victim`` before the cache is built (the
+    dispatch plan binds hooks at attach), so any call the batch session
+    makes to it is counted.
+    """
+
+    def _cache(self, policy_name, listener=False):
+        config = GEOMETRIES[0]
+        policy = make_policy(policy_name)
         calls = []
-        original = SetAssociativeCache._session_stamped
+        original = policy.victim
 
-        def spy(self, *args, **kwargs):
+        def spy(*args):
             calls.append(1)
-            return original(self, *args, **kwargs)
+            return original(*args)
 
-        monkeypatch.setattr(SetAssociativeCache, "_session_stamped", spy)
+        policy.victim = spy
+        cache = SetAssociativeCache(config, policy)
+        if listener:
+            cache.eviction_listener = lambda addr, dirty: None
+        return cache, calls
+
+    def _replay(self, cache, timed):
+        # Reuse over 2.5x the capacity: hits, clean and dirty evictions.
+        lines = [(i * 37) % 160 for i in range(480)]
+        writes = [i % 3 == 0 for i in range(480)]
+        trace = Trace([line * 64 for line in lines], writes)
+        timing = make_timing(cache.config) if timed else None
         cache.run_trace(trace.decoded(cache.config), timing=timing)
-        return bool(calls)
+        assert cache.stats.evictions > 0
 
-    def _trace(self, config):
-        return Trace([i * 64 for i in range(96)], [i % 3 == 0 for i in range(96)])
+    @staticmethod
+    def _in_stamp_order(cache):
+        for cache_set in cache.sets:
+            stamps = [line.stamp for line in cache_set.lookup.values()]
+            if stamps != sorted(stamps):
+                return False
+        return True
 
     @pytest.mark.parametrize("policy_name", ("lru", "rwp"))
-    def test_stamped_policies_take_fast_path(self, monkeypatch, policy_name):
-        config = GEOMETRIES[0]
-        cache = SetAssociativeCache(config, make_policy(policy_name))
-        trace = self._trace(config)
-        assert self._ran_stamped(monkeypatch, cache, trace, make_timing(config))
+    def test_stamped_policies_take_fast_path(self, policy_name):
+        cache, calls = self._cache(policy_name)
+        self._replay(cache, timed=True)
+        assert not calls
+        assert self._in_stamp_order(cache)
 
-    def test_untimed_run_uses_generic_loop(self, monkeypatch):
-        config = GEOMETRIES[0]
-        cache = SetAssociativeCache(config, make_policy("lru"))
-        assert not self._ran_stamped(monkeypatch, cache, self._trace(config), None)
+    @pytest.mark.parametrize("policy_name", ("lru", "rwp"))
+    def test_untimed_run_takes_fast_path(self, policy_name):
+        cache, calls = self._cache(policy_name)
+        self._replay(cache, timed=False)
+        assert not calls
+        assert self._in_stamp_order(cache)
 
-    def test_eviction_listener_disables_fast_path(self, monkeypatch):
-        config = GEOMETRIES[0]
-        cache = SetAssociativeCache(config, make_policy("lru"))
-        cache.eviction_listener = lambda addr, dirty: None
-        trace = self._trace(config)
-        assert not self._ran_stamped(monkeypatch, cache, trace, make_timing(config))
+    @pytest.mark.parametrize("timed", (True, False))
+    @pytest.mark.parametrize("policy_name", ("lru", "rwp"))
+    def test_eviction_listener_keeps_fast_path(self, policy_name, timed):
+        cache, calls = self._cache(policy_name, listener=True)
+        self._replay(cache, timed=timed)
+        assert not calls
+        assert self._in_stamp_order(cache)
 
-    def test_non_stamp_policy_uses_generic_loop(self, monkeypatch):
-        config = GEOMETRIES[0]
-        cache = SetAssociativeCache(config, make_policy("srrip"))
-        trace = self._trace(config)
-        assert not self._ran_stamped(monkeypatch, cache, trace, make_timing(config))
+    @pytest.mark.parametrize("timed", (True, False))
+    def test_non_stamp_policy_calls_victim(self, timed):
+        cache, calls = self._cache("srrip")
+        self._replay(cache, timed=timed)
+        assert len(calls) == cache.stats.evictions
 
 
 class TestDecodeLayer:
@@ -232,22 +286,6 @@ class TestDecodeLayer:
             assert decoded.tags[i] == address >> (
                 config.offset_bits + config.index_bits
             )
-
-    def test_cycle_gaps_memoized_per_cpi(self):
-        trace = Trace([0, 64, 128], [False] * 3, instr_gaps=[1, 5, 2])
-        decoded = trace.decoded(GEOMETRIES[0])
-        gaps = decoded.cycle_gaps(0.5)
-        assert gaps == [0.5, 2.5, 1.0]
-        assert decoded.cycle_gaps(0.5) is gaps
-        assert decoded.cycle_gaps(1.0) == [1.0, 5.0, 2.0]
-
-    def test_gap_total_matches_slice_sums(self):
-        gaps = [3, 0, 7, 1, 4, 2]
-        trace = Trace([i * 64 for i in range(6)], [False] * 6, instr_gaps=gaps)
-        decoded = trace.decoded(GEOMETRIES[0])
-        for start in range(len(gaps) + 1):
-            for stop in range(start, len(gaps) + 1):
-                assert decoded.gap_total(start, stop) == sum(gaps[start:stop])
 
     def test_run_trace_rejects_geometry_mismatch(self):
         trace = Trace([0, 64], [False, False])

@@ -79,7 +79,7 @@ class TestDirQueue:
         queue = DirQueue(tmp_path / "q")
         store = ResultStore(tmp_path / "store")
         jobs = tiny_spec().jobs()
-        store.put(jobs[0].key(), jobs[0].kind, {"stub": True})
+        run_jobs(jobs[:1], store=store)
         receipt = queue.submit(jobs, store=store)
         assert receipt.warm == [jobs[0].key()]
         assert len(receipt.enqueued) == len(jobs) - 1
@@ -324,6 +324,29 @@ class TestWorker:
 
 
 class TestSweepRouting:
+    def test_garbled_record_is_resimulated_by_a_worker(self, tmp_path):
+        spec = SweepSpec(
+            workloads=("micro_stream",), policies=("rwp",), scale=TINY
+        )
+        (job,) = spec.jobs()
+        serial = run_jobs([job], store=ResultStore(tmp_path / "s"))
+
+        queue = DirQueue(tmp_path / "q")
+        store = ResultStore(tmp_path / "dist")
+        store.put(job.key(), job.kind, {"garbled": 1})
+        receipt = submit_sweep(spec, queue, store)
+        assert receipt.enqueued == [job.key()]
+        assert receipt.warm == []
+
+        stats = Worker(queue, store, worker_id="w0", poll_interval=0.01).run(
+            drain=True
+        )
+        assert (stats.simulated, stats.hits) == (1, 0)
+        outcome = wait_for_sweep(spec, queue, store, poll=0.02, timeout=60)
+        assert outcome.results[job].to_dict() == serial.results[job].to_dict()
+        # The worker's put replaced the garbled record.
+        assert store.get(job.key())["result"] == job.encode(serial.results[job])
+
     def test_submit_then_worker_then_wait_matches_serial(self, tmp_path):
         spec = tiny_spec()
         serial = run_jobs(spec.jobs(), store=ResultStore(tmp_path / "s"))
