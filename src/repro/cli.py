@@ -42,11 +42,14 @@ variants can be swept without code changes.  The same grammar names
 main-memory backends via ``--memory``: ``dram`` (default),
 ``pcm:write_mult=4`` (asymmetric writes, partition-level parallelism),
 or ``nvm:write_mult=4`` (simple fixed asymmetry) -- see
-:class:`~repro.mem.spec.BackendSpec`.  ``--kernel`` selects the
-batch-replay driver the same way: ``dict`` (default, the reference
-dict driver), ``native`` (compiled SoA kernel), or ``auto`` (native if
-it builds, else dict) -- all bit-identical, falling back per replay on
-unsupported shapes (see :class:`~repro.kernels.spec.KernelSpec`).
+:class:`~repro.mem.spec.BackendSpec`.  ``--kernel`` (on run, compare,
+mix, sweep and report) selects the batch-replay driver the same way:
+``auto`` (default: native if it builds, else dict), ``native``
+(compiled SoA kernel), or ``dict`` (the reference dict driver) -- all
+bit-identical, falling back per replay on unsupported shapes (see
+:class:`~repro.kernels.spec.KernelSpec`).  The kernel is how a job
+runs, not part of its store key: a result stored under one kernel is
+served to every other.
 """
 
 from __future__ import annotations
@@ -161,15 +164,18 @@ def _add_memory_option(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_kernel_option(parser: argparse.ArgumentParser) -> None:
+    from repro.kernels.spec import DEFAULT_KERNEL
+
     parser.add_argument(
         "--kernel",
         "-k",
-        default="dict",
+        default=DEFAULT_KERNEL,
         help=(
-            "batch-replay kernel name or KernelSpec string: 'dict' "
-            "(default, the reference driver), 'native', or 'auto' "
-            "(native if it builds, else dict).  Non-default kernels are "
-            "bit-identical and fall back per replay on unsupported shapes"
+            "batch-replay kernel name or KernelSpec string: 'auto' "
+            "(default: native if it builds, else dict), 'native', or "
+            "'dict' (the reference driver).  Every kernel is "
+            "bit-identical, falls back per replay on unsupported shapes, "
+            "and shares store keys with the others"
         ),
     )
 
@@ -427,10 +433,17 @@ def cmd_report(args: argparse.Namespace) -> int:
     scale = _scale_from(args)
     store = _store_from(args)
     if args.output:
-        path = write_report(args.output, scale, jobs=args.jobs, store=store)
+        path = write_report(
+            args.output, scale, jobs=args.jobs, store=store,
+            kernel=args.kernel,
+        )
         print(f"wrote {path}")
     else:
-        print(generate_report(scale, jobs=args.jobs, store=store))
+        print(
+            generate_report(
+                scale, jobs=args.jobs, store=store, kernel=args.kernel
+            )
+        )
     return 0
 
 
@@ -823,7 +836,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         repeats=repeats,
         seed=args.seed,
     )
-    if not kernel.is_default:
+    if not kernel.is_reference:
         results = results + run_bench(
             policies,
             benchmark=args.benchmark,
@@ -840,7 +853,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             repeats=args.repeats or None,
             seed=args.seed,
         )
-        if not kernel.is_default:
+        if not kernel.is_reference:
             results = results + run_system_bench(
                 policies,
                 quick=args.quick,
@@ -1233,6 +1246,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_scale_options(report_parser)
     _add_engine_options(report_parser)
+    _add_kernel_option(report_parser)
 
     bench_parser = sub.add_parser(
         "bench",

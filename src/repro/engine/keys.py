@@ -19,7 +19,7 @@ import json
 from dataclasses import asdict
 from functools import lru_cache
 from pathlib import Path
-from typing import Dict, Mapping
+from typing import Dict, List, Mapping
 
 import repro
 
@@ -28,23 +28,38 @@ import repro
 _NON_SEMANTIC = {"engine", "service", "cli.py", "__main__.py", "__pycache__"}
 
 
+#: the source files that determine results: the Python modules and the
+#: native kernel's C source, which replays every job the default
+#: ``auto`` kernel accepts.
+_SOURCE_PATTERNS = ("*.py", "*.c")
+
+
+def hashed_sources() -> List[str]:
+    """Package-relative paths :func:`code_version` digests, in order."""
+    root = Path(repro.__file__).resolve().parent
+    return sorted(
+        rel
+        for pattern in _SOURCE_PATTERNS
+        for rel in (p.relative_to(root).as_posix() for p in root.rglob(pattern))
+        if rel.split("/", 1)[0] not in _NON_SEMANTIC
+    )
+
+
 @lru_cache(maxsize=1)
 def code_version() -> str:
     """Digest of every simulator source file (orchestration excluded).
 
     Hashed once per process; editing any file under ``repro/`` other
-    than ``engine/``/``cli.py`` changes the digest and therefore every
-    job key, so a stale store can never serve results from old code.
+    than ``engine/``/``cli.py`` -- the ``*.py`` files and the native
+    kernel's C source -- changes the digest and therefore every job
+    key, so a stale store can never serve results from old code.
     """
     root = Path(repro.__file__).resolve().parent
     digest = hashlib.sha256()
-    for path in sorted(root.rglob("*.py")):
-        rel = path.relative_to(root).as_posix()
-        if rel.split("/", 1)[0] in _NON_SEMANTIC:
-            continue
+    for rel in hashed_sources():
         digest.update(rel.encode("utf-8"))
         digest.update(b"\x00")
-        digest.update(path.read_bytes())
+        digest.update((root / rel).read_bytes())
         digest.update(b"\x00")
     return digest.hexdigest()[:16]
 

@@ -21,6 +21,7 @@ from repro.experiments.runner import (
     run_grid,
     speedups_over,
 )
+from repro.kernels.spec import DEFAULT_KERNEL
 from repro.multicore.metrics import geometric_mean
 from repro.trace.spec import benchmark_names, sensitive_names
 
@@ -46,11 +47,14 @@ def generate_report(
     mixes: tuple = REPORT_MIXES,
     jobs: int = 1,
     store=None,
+    kernel: str = DEFAULT_KERNEL,
 ) -> str:
     """Run the headline experiments and render markdown.
 
     ``jobs``/``store`` are forwarded to the engine: the report grid can
     run in parallel and is served from the result store when warm.
+    ``kernel`` picks the batch-replay driver for every job; every
+    kernel renders the same report byte for byte.
     """
     scale = scale or ExperimentScale(
         llc_lines=1024, warmup_factor=8, measure_factor=20
@@ -66,7 +70,10 @@ def generate_report(
 
     # Single core: full suite + sensitive subset.
     benches = benchmark_names()
-    grid = run_grid(benches, HEADLINE_POLICIES, scale, jobs=jobs, store=store)
+    grid = run_grid(
+        benches, HEADLINE_POLICIES, scale, jobs=jobs, store=store,
+        kernel=kernel,
+    )
     speedups = speedups_over(grid, benches, HEADLINE_POLICIES)
     sensitive = sensitive_names()
     sensitive_idx = [benches.index(b) for b in sensitive]
@@ -136,7 +143,8 @@ def generate_report(
 
     # Multicore.
     mix_grid = run_mix_grid(
-        mixes, MULTICORE_POLICIES, scale, jobs=jobs, store=store
+        mixes, MULTICORE_POLICIES, scale, jobs=jobs, store=store,
+        kernel=kernel,
     )
     mc_rows = []
     for mix in mixes:
@@ -165,9 +173,12 @@ def write_report(
     scale: ExperimentScale | None = None,
     jobs: int = 1,
     store=None,
+    kernel: str = DEFAULT_KERNEL,
 ) -> Path:
     """Generate the report and write it to ``path``."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(generate_report(scale, jobs=jobs, store=store))
+    path.write_text(
+        generate_report(scale, jobs=jobs, store=store, kernel=kernel)
+    )
     return path

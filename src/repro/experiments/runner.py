@@ -11,6 +11,7 @@ from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
 from repro.cpu.core import RunResult
+from repro.kernels.spec import DEFAULT_KERNEL
 from repro.sim import SimulationSpec, simulate, simulate_cached
 
 # Re-exported as the same objects, not wrappers: the benchmark tracer
@@ -35,7 +36,7 @@ def _run_benchmark_cached(
     scale: ExperimentScale,
     mode: str = "llc",
     memory: str = "dram",
-    kernel: str = "dict",
+    kernel: str = DEFAULT_KERNEL,
 ) -> RunResult:
     return simulate(
         SimulationSpec(
@@ -52,15 +53,15 @@ def run_benchmark(
     store=None,
     mode: str = "llc",
     memory: str = "dram",
-    kernel: str = "dict",
+    kernel: str = DEFAULT_KERNEL,
 ) -> RunResult:
     """Run one benchmark under one policy at the given scale.
 
     ``mode`` selects LLC-level replay (default) or the full
     ``"hierarchy"`` stack; ``memory`` names the main-memory backend
     (``"dram"`` default, ``"pcm:..."``/``"nvm:..."`` for asymmetric
-    writes); ``kernel`` the batch-replay driver (``"dict"`` default,
-    ``"native"``/``"auto"`` for the SoA kernel); all go through the
+    writes); ``kernel`` the batch-replay driver (``"auto"`` default,
+    ``"dict"`` to force the reference driver); all go through the
     :class:`~repro.sim.SimulationSpec` front-end.  Runs are deterministic, so results are memoized:
     harnesses that share a baseline (every figure normalizes to LRU)
     never re-simulate it.  With a ``store`` (a
@@ -126,7 +127,7 @@ def run_grid(
     timeout: float | None = None,
     mode: str = "llc",
     memory: str = "dram",
-    kernel: str = "dict",
+    kernel: str = DEFAULT_KERNEL,
 ) -> ResultGrid:
     """Run every (benchmark, policy) pair; identical traces per benchmark.
 

@@ -14,29 +14,40 @@ Public surface:
   when a configuration is outside the kernel's supported matrix, and
   the dict-driven reference driver runs instead -- the kernels are an
   accelerator, never a semantic fork.
-- availability probes and cache resets for tests.
+- availability probes (:func:`load_failure` says why the native
+  kernel is unavailable) and cache resets for tests.
 """
 
 from repro.kernels.build import (
+    NativeUnavailable,
     cache_dir,
     compile_native,
     find_compiler,
+    load_failure,
     load_native,
     native_available,
     reset_native_cache,
 )
 from repro.kernels.runner import KernelRuntime, attach_kernel
-from repro.kernels.spec import DEFAULT_KERNEL, KERNEL_NAMES, KernelSpec
+from repro.kernels.spec import (
+    DEFAULT_KERNEL,
+    KERNEL_NAMES,
+    REFERENCE_KERNEL,
+    KernelSpec,
+)
 
 __all__ = [
     "DEFAULT_KERNEL",
     "KERNEL_NAMES",
     "KernelRuntime",
     "KernelSpec",
+    "NativeUnavailable",
+    "REFERENCE_KERNEL",
     "attach_kernel",
     "cache_dir",
     "compile_native",
     "find_compiler",
+    "load_failure",
     "load_native",
     "native_available",
     "reset_native_cache",

@@ -6,9 +6,11 @@ system C compiler the first time the ``native`` kernel is requested.
 The shared object is cached under ``~/.cache/repro/kernels/`` keyed by
 the source digest, so recompiles only happen when the source changes.
 
-Everything degrades gracefully: no compiler, a failed compile, or
-``REPRO_NO_NATIVE=1`` simply makes :func:`load_native` return ``None``
-and callers fall back to the dict-driven reference driver.
+Everything degrades gracefully: ``REPRO_NO_NATIVE=1``, no compiler, an
+unusable cache directory, a failed compile or an ABI mismatch makes
+:func:`load_native` return ``None`` and :func:`load_failure` say which
+(a :class:`NativeUnavailable` and its ``kind``); callers fall back to
+the dict-driven reference driver.
 
 The ctypes ``Structure`` classes here must stay field-for-field in sync
 with the structs at the top of ``native_src.c``; ``rw_abi_version`` is
@@ -22,6 +24,7 @@ import hashlib
 import os
 import shutil
 import subprocess
+import sys
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -205,40 +208,70 @@ def _source_digest() -> str:
     return hashlib.sha256(_SOURCE.read_bytes()).hexdigest()[:16]
 
 
-def compile_native(verbose: bool = False) -> Optional[Path]:
-    """Compile (or reuse) the kernel .so; None when unavailable."""
+class NativeUnavailable(Exception):
+    """Why the native kernel cannot be loaded in this process.
+
+    ``kind`` is one of ``"disabled"`` (``REPRO_NO_NATIVE=1``),
+    ``"no-compiler"``, ``"cache-dir"`` (the kernel cache directory is
+    unusable), ``"compile-failed"`` (the compiler failed or the ``.so``
+    will not load) or ``"abi-mismatch"``; ``str()`` is the one-line
+    detail the fallback channels print.
+    """
+
+    def __init__(self, kind: str, detail: str) -> None:
+        super().__init__(detail)
+        self.kind = kind
+
+
+def _build() -> Path:
+    """Compile (or reuse) the kernel .so; raises :class:`NativeUnavailable`."""
     if os.environ.get("REPRO_NO_NATIVE") == "1":
-        return None
+        raise NativeUnavailable("disabled", "REPRO_NO_NATIVE=1")
     if not _SOURCE.is_file():
-        return None
+        raise NativeUnavailable("compile-failed", f"no kernel source {_SOURCE}")
     out = cache_dir() / f"rwkernel-{_source_digest()}-abi{_ABI_VERSION}.so"
     if out.is_file():
         return out
     compiler = find_compiler()
     if compiler is None:
-        return None
-    out.parent.mkdir(parents=True, exist_ok=True)
+        raise NativeUnavailable("no-compiler", "no C compiler found")
     # Compile to a private temp name and publish with an atomic rename so
     # concurrent sweep workers never load a half-written object.
-    fd, tmp = tempfile.mkstemp(suffix=".so", dir=str(out.parent))
-    os.close(fd)
+    try:
+        out.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(suffix=".so", dir=str(out.parent))
+        os.close(fd)
+    except OSError as error:
+        raise NativeUnavailable(
+            "cache-dir", f"kernel cache {out.parent} is unusable: {error}"
+        ) from None
     cmd = [compiler, *_CFLAGS, "-o", tmp, str(_SOURCE), "-lm"]
     try:
-        proc = subprocess.run(
-            cmd,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT,
-            timeout=120,
-        )
+        try:
+            proc = subprocess.run(
+                cmd,
+                stdout=subprocess.PIPE,
+                stderr=subprocess.STDOUT,
+                timeout=120,
+            )
+        except (OSError, subprocess.SubprocessError) as error:
+            raise NativeUnavailable(
+                "compile-failed", f"{compiler} did not run: {error}"
+            ) from None
         if proc.returncode != 0:
-            if verbose:
-                print(proc.stdout.decode("utf-8", "replace"))
-            return None
-        os.replace(tmp, out)
+            detail = f"{compiler} exited {proc.returncode}"
+            output = proc.stdout.decode("utf-8", "replace").splitlines()
+            raise NativeUnavailable(
+                "compile-failed", f"{detail}: {output[0]}" if output else detail
+            )
+        try:
+            os.replace(tmp, out)
+        except OSError as error:
+            raise NativeUnavailable(
+                "cache-dir", f"cannot publish {out}: {error}"
+            ) from None
         tmp = None
         return out
-    except (OSError, subprocess.SubprocessError):
-        return None
     finally:
         if tmp is not None:
             try:
@@ -247,17 +280,32 @@ def compile_native(verbose: bool = False) -> Optional[Path]:
                 pass
 
 
-def _bind(path: Path) -> Optional[NativeLib]:
+def compile_native() -> Optional[Path]:
+    """Compile (or reuse) the kernel .so; None when unavailable."""
+    try:
+        return _build()
+    except NativeUnavailable:
+        return None
+
+
+def _bind(path: Path) -> NativeLib:
+    """Load and type the entry points; raises :class:`NativeUnavailable`."""
     try:
         lib = ctypes.CDLL(str(path))
-    except OSError:
-        return None
+    except OSError as error:
+        raise NativeUnavailable(
+            "compile-failed", f"cannot load {path}: {error}"
+        ) from None
     try:
         abi = lib.rw_abi_version
         abi.restype = _int64
         abi.argtypes = []
-        if abi() != _ABI_VERSION:
-            return None
+        found = abi()
+        if found != _ABI_VERSION:
+            raise NativeUnavailable(
+                "abi-mismatch",
+                f"{path} has ABI {found}, expected {_ABI_VERSION}",
+            )
         run_trace = lib.rw_run_trace
         run_trace.restype = _int64
         run_trace.argtypes = [
@@ -277,8 +325,10 @@ def _bind(path: Path) -> Optional[NativeLib]:
         multicore = lib.rw_multicore
         multicore.restype = _int64
         multicore.argtypes = [ctypes.POINTER(CacheCtx), ctypes.POINTER(MultiCtx)]
-    except AttributeError:
-        return None
+    except AttributeError as error:
+        raise NativeUnavailable(
+            "abi-mismatch", f"{path} lacks an entry point: {error}"
+        ) from None
     return NativeLib(
         path=path, run_trace=run_trace, lru_filter=lru_filter, multicore=multicore
     )
@@ -286,29 +336,60 @@ def _bind(path: Path) -> Optional[NativeLib]:
 
 _loaded: Optional[NativeLib] = None
 _load_attempted = False
+_load_failure: Optional[NativeUnavailable] = None
+_degraded_noted = False
 
 
 def load_native() -> Optional[NativeLib]:
     """The process-wide native kernel handle, or None when unavailable.
 
-    The first call compiles if needed; failures are remembered so a
-    missing compiler costs one probe, not one per run.
+    The first call compiles if needed; failures are remembered (see
+    :func:`load_failure`) so a missing compiler costs one probe, not
+    one per run.
     """
-    global _loaded, _load_attempted
+    global _loaded, _load_attempted, _load_failure
     if _load_attempted:
         return _loaded
     _load_attempted = True
-    path = compile_native()
-    if path is not None:
-        _loaded = _bind(path)
+    try:
+        _loaded = _bind(_build())
+    except NativeUnavailable as failure:
+        _load_failure = failure
     return _loaded
+
+
+def load_failure() -> Optional[NativeUnavailable]:
+    """Why the last :func:`load_native` returned None (None if it loaded)."""
+    load_native()
+    return _load_failure
+
+
+def note_degraded(requested: str) -> None:
+    """Print one stderr line the first time a kernel request degrades.
+
+    Called when ``requested`` (the default ``auto``) resolved to the
+    dict driver because the native kernel is unavailable; later calls
+    in the same process stay quiet.
+    """
+    global _degraded_noted
+    failure = load_failure()
+    if _degraded_noted or failure is None:
+        return
+    _degraded_noted = True
+    print(
+        f"repro: kernel {requested!r} runs the dict driver: native kernel "
+        f"unavailable ({failure.kind}: {failure})",
+        file=sys.stderr,
+    )
 
 
 def reset_native_cache() -> None:
     """Forget the memoized load (tests toggling REPRO_NO_NATIVE)."""
-    global _loaded, _load_attempted
+    global _loaded, _load_attempted, _load_failure, _degraded_noted
     _loaded = None
     _load_attempted = False
+    _load_failure = None
+    _degraded_noted = False
 
 
 def native_available() -> bool:

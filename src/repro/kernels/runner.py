@@ -47,7 +47,9 @@ from repro.kernels.build import (
     FilterCtx,
     LaneCtx,
     MultiCtx,
+    load_failure,
     load_native,
+    note_degraded,
 )
 from repro.kernels.spec import KernelSpec
 
@@ -300,12 +302,17 @@ def _finish(binding: _CacheBinding) -> None:
         raise binding.errors[0]
 
 
-def _fill_lane_timing(lane: LaneCtx, timing, decoded):
-    """Hoist the TimingModel state into ``lane``; returns the wb ring."""
+def _fill_lane_timing(lane: LaneCtx, timing, decoded, gap_arr):
+    """Hoist the TimingModel state into ``lane``.
+
+    Returns ``(ring, cycles)``: the write-buffer ring and the per-access
+    cycle-cost array ``lane`` now points into.  The C side reads both
+    through raw pointers, so the caller must hold them until the kernel
+    call returns.
+    """
+    cycles = decoded.kernel_cycles(timing.core.base_cpi, gap_arr)
     lane.timed = 1
-    lane.cycle_stream = soa.ptr_double(
-        soa.cycle_array(decoded, timing.core.base_cpi)
-    )
+    lane.cycle_stream = soa.ptr_double(cycles)
     mlp = timing.core.mlp
     lane.hit_stall = timing.llc_hit_latency / mlp
     lane.miss_stall = timing.memory.latency / mlp
@@ -313,7 +320,7 @@ def _fill_lane_timing(lane: LaneCtx, timing, decoded):
     lane.read_stall = timing.read_stall_cycles
     lane.write_stall = timing.write_stall_cycles
     lane.instructions = timing.instructions
-    return soa.load_write_buffer(lane, timing.write_buffer)
+    return soa.load_write_buffer(lane, timing.write_buffer), cycles
 
 
 def _flush_lane_timing(timing, lane: LaneCtx, ring) -> None:
@@ -331,6 +338,8 @@ class KernelRuntime:
         self.spec = spec
         self._resolved = False
         self._native = None
+        #: the fallback reason of every dispatch while no library loads.
+        self._unavailable = "no compiled kernel backend available"
         #: why the most recent ``try_*`` dispatch fell back to the dict
         #: driver (None while every dispatch ran on a kernel).  Surfaced
         #: by ``repro run`` and logged by the bench harness, so a
@@ -353,8 +362,13 @@ class KernelRuntime:
     def _resolve(self):
         if not self._resolved:
             self._resolved = True
-            if self.spec.name in ("native", "auto"):
+            if not self.spec.is_reference:
                 self._native = load_native()
+                failure = load_failure()
+                if failure is not None:
+                    self._unavailable += f" ({failure.kind}: {failure})"
+                    if self.spec.name == "auto":
+                        note_degraded(self.spec.key())
         return self._native
 
     @property
@@ -371,15 +385,16 @@ class KernelRuntime:
             return None
         lib = self._resolve()
         if lib is None:
-            return self._fallback("no compiled kernel backend available")
+            return self._fallback(self._unavailable)
         if timing is not None and getattr(timing, "backend", None) is not None:
             return self._fallback("memory timing backend is active")
-        streams = soa.stream_arrays(decoded)
-        if streams is None:
-            return self._fallback("decoded trace is not array-backed")
+        # Gate before converting: a declined replay builds no arrays.
         binding = self._bind(cache)
         if binding is None:
             return None
+        streams = decoded.kernel_streams()
+        if streams is None:
+            return self._fallback("decoded trace is not array-backed")
         set_arr, tag_arr, write_arr, gap_arr = streams
 
         lane = LaneCtx()
@@ -388,10 +403,10 @@ class KernelRuntime:
         lane.write_stream = soa.ptr_uint8(write_arr)
         lane.core = core
         lane.cycle_limit = inf
-        ring = None
+        ring = cycles = None  # held across the C call, like the streams
         if timing is not None:
             try:
-                ring = _fill_lane_timing(lane, timing, decoded)
+                ring, cycles = _fill_lane_timing(lane, timing, decoded, gap_arr)
             except OverflowError:
                 return self._fallback("timing state overflows the lane image")
             lane.gap_stream = soa.ptr_int64(gap_arr)
@@ -431,8 +446,10 @@ class KernelRuntime:
         if start >= stop:
             return None
         lib = self._resolve()
-        if lib is None or np is None:
-            return self._fallback("no native kernel library available")
+        if lib is None:
+            return self._fallback(self._unavailable)
+        if np is None:
+            return self._fallback("numpy is unavailable")
         try:
             set_arr = np.asarray(set_stream, dtype=np.int64)
             tag_arr = np.asarray(tag_stream, dtype=np.int64)
@@ -507,9 +524,6 @@ class KernelRuntime:
             return None
         if not (l1.lru_filter_eligible() and l2.lru_filter_eligible()):
             return None
-        streams = soa.stream_arrays(decoded)
-        if streams is None:
-            return None
         # Bind all three levels up front: binding only reads, so a
         # failure here leaves every cache untouched for the fallback.
         b1 = bind_cache(l1)
@@ -520,6 +534,9 @@ class KernelRuntime:
             return None
         b3 = bind_cache(llc)
         if b3 is None:
+            return None
+        streams = decoded.kernel_streams()
+        if streams is None:
             return None
         set_arr, tag_arr, write_arr, _ = streams
         span = stop - start
@@ -650,8 +667,10 @@ class KernelRuntime:
         walk does; None -> fallback.
         """
         lib = self._resolve()
-        if lib is None or np is None:
-            return self._fallback("no native kernel library available")
+        if lib is None:
+            return self._fallback(self._unavailable)
+        if np is None:
+            return self._fallback("numpy is unavailable")
         count = len(set_stream)
         try:
             set_arr = np.asarray(set_stream, dtype=np.int64)
@@ -704,23 +723,26 @@ class KernelRuntime:
         LLC image; returns a :class:`SharedRunResult` or None.
         """
         lib = self._resolve()
-        if lib is None or np is None:
-            return self._fallback("no native kernel library available")
+        if lib is None:
+            return self._fallback(self._unavailable)
         llc = system.llc
         timings = system.timings
         num_cores = system.num_cores
         for timing in timings:
             if getattr(timing, "backend", None) is not None:
                 return self._fallback("memory timing backend is active")
-        stream_sets = [soa.stream_arrays(view) for view in views]
-        if any(streams is None for streams in stream_sets):
-            return self._fallback("decoded views are not array-backed")
+        # Gate before converting: a declined mix builds no arrays.
         binding = self._bind(llc)
         if binding is None:
             return None
+        stream_sets = [view.kernel_streams() for view in views]
+        if any(streams is None for streams in stream_sets):
+            return self._fallback("decoded views are not array-backed")
 
         lanes = (LaneCtx * num_cores)()
-        rings = []
+        # (ring, cycles) per core, held across the C call with
+        # stream_sets: the lanes point into all of them.
+        timed = []
         try:
             for core in range(num_cores):
                 lane = lanes[core]
@@ -730,7 +752,9 @@ class KernelRuntime:
                 lane.write_stream = soa.ptr_uint8(write_arr)
                 lane.gap_stream = soa.ptr_int64(gap_arr)
                 lane.core = core
-                rings.append(_fill_lane_timing(lane, timings[core], views[core]))
+                timed.append(
+                    _fill_lane_timing(lane, timings[core], views[core], gap_arr)
+                )
                 lane.cycle_limit = inf
         except OverflowError:
             return self._fallback("timing state overflows the lane image")
@@ -770,7 +794,7 @@ class KernelRuntime:
 
         llc.tick += int(ticks.sum())
         for core in range(num_cores):
-            _flush_lane_timing(timings[core], lanes[core], rings[core])
+            _flush_lane_timing(timings[core], lanes[core], timed[core][0])
         _finish(binding)
 
         counts = [
@@ -793,11 +817,11 @@ def attach_kernel(target, spec: "KernelSpec | str") -> None:
     Accepts a bare :class:`SetAssociativeCache`, a ``MemoryHierarchy``
     (every private level plus the LLC gets the runtime -- the filter
     stages dispatch independently), or a ``SharedLLCSystem``.  ``spec``
-    may be a :class:`KernelSpec` or its string form.  The default
+    may be a :class:`KernelSpec` or its string form.  The reference
     ``dict`` spec detaches instead, restoring pure reference behaviour.
     """
     spec = KernelSpec.coerce(spec)
-    runtime = None if spec.is_default else KernelRuntime(spec)
+    runtime = None if spec.is_reference else KernelRuntime(spec)
     for cache in _owned_caches(target):
         cache.kernel = runtime
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import ctypes
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 try:
     import numpy as np
@@ -297,17 +297,3 @@ def flush_write_buffer(write_buffer, lane, ring: "np.ndarray") -> None:
     write_buffer._server_free = lane.wb_server_free
     write_buffer.stall_cycles = lane.wb_stall_cycles
     write_buffer.total_writes = lane.wb_writes
-
-
-# -- decoded streams -------------------------------------------------------
-def stream_arrays(decoded) -> Optional[Tuple]:
-    """(set, tag, write, gap) int64/uint8 arrays for a decoded trace."""
-    if np is None:
-        return None
-    return decoded.kernel_streams()
-
-
-def cycle_array(decoded, base_cpi: float) -> Optional["np.ndarray"]:
-    if np is None:
-        return None
-    return decoded.kernel_cycles(base_cpi)

@@ -15,20 +15,20 @@ KernelSpec(name='native', kwargs=())
 Kernel names:
 
 ``dict``    the reference dict-driven batch session (the one
-            ``_session`` loop).  The default; every other kernel must
-            be bit-identical to it.
+            ``_session`` loop).  Every other kernel must be
+            bit-identical to it; naming it forces the reference path.
 ``native``  struct-of-arrays state replayed by a small C kernel,
             compiled on demand with the system compiler and bound via
             ctypes (see :mod:`repro.kernels.build`).  Falls back to
             ``dict`` per run when the config is unsupported or no
             compiler is available.
-``auto``    ``native`` if it can build, else ``dict``.
+``auto``    ``native`` if it can build, else ``dict``.  The default.
 
-The spec is frozen and hashable, so it can key ``lru_cache``/store
-entries.  The default kernel keys as plain ``"dict"`` and is
-deliberately *omitted* from job payloads and labels, so every result
-stored before kernels existed stays warm (the same convention
-``BackendSpec`` uses for ``dram``).
+The spec is frozen and hashable, so it can key ``lru_cache`` entries.
+A kernel is an execution detail, not part of a result's identity:
+every kernel is bit-identical to ``dict``, so job payloads, labels and
+store keys never carry it, and a native run and a dict run of the same
+job share one store entry.
 """
 
 from __future__ import annotations
@@ -38,9 +38,12 @@ from typing import Any, ClassVar, Tuple
 
 from repro.common.spec import Spec
 
-#: the kernel every simulation uses unless told otherwise: the
-#: dict-driven reference batch drivers.
-DEFAULT_KERNEL = "dict"
+#: the kernel every simulation uses unless told otherwise: the native
+#: kernel when it builds, else the dict-driven reference drivers.
+DEFAULT_KERNEL = "auto"
+
+#: the dict-driven reference batch drivers every kernel must match.
+REFERENCE_KERNEL = "dict"
 
 #: every selectable kernel backend name.
 KERNEL_NAMES = ("dict", "native", "auto")
@@ -58,9 +61,14 @@ class KernelSpec(Spec):
 
     @property
     def is_default(self) -> bool:
-        """True for the plain dict-driven reference kernel (no kwargs).
-
-        The default keeps the existing batch drivers and the old store
-        keys; anything else routes through :mod:`repro.kernels.runner`.
-        """
+        """True for the plain default kernel, ``auto`` (no kwargs)."""
         return self.name == DEFAULT_KERNEL and not self.kwargs
+
+    @property
+    def is_reference(self) -> bool:
+        """True for the dict-driven reference drivers (no kernel runtime).
+
+        Everything else routes eligible replays through
+        :mod:`repro.kernels.runner`.
+        """
+        return self.name == REFERENCE_KERNEL

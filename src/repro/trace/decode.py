@@ -7,7 +7,9 @@ decode out of the loop: the set indices and tags for one trace x one
 geometry are computed once, vectorized through numpy when the addresses
 fit in int64 (they essentially always do), and then handed to the batch
 driver as plain Python lists, which CPython indexes faster than numpy
-arrays inside an interpreted loop.
+arrays inside an interpreted loop.  The int64 arrays the C kernels
+read are built per kernel replay (:meth:`DecodedTrace.kernel_streams`)
+and never memoized here.
 
 :meth:`~repro.trace.access.Trace.decoded` caches the result per
 geometry, so a sweep replaying one trace under many policies decodes it
@@ -44,8 +46,6 @@ class DecodedTrace:
         "offset_bits",
         "index_bits",
         "name",
-        "_np_streams",
-        "_np_cycles",
     )
 
     def __init__(
@@ -67,55 +67,52 @@ class DecodedTrace:
         self.offset_bits = offset_bits
         self.index_bits = index_bits
         self.name = name
-        self._np_streams = None
-        self._np_cycles: dict = {}
 
     def __len__(self) -> int:
         return len(self.set_indices)
 
     def kernel_streams(self) -> Optional[Tuple]:
-        """Memoized ``(set, tag, write, gap)`` arrays for the C kernels.
+        """Fresh ``(set, tag, write, gap)`` arrays for the C kernels.
 
-        int64 set/tag/gap streams plus a uint8 write stream, converted
-        once per decode and reused by every kernel run over it.  ``None``
-        when numpy is absent or a stream exceeds int64 -- the kernel
-        layer then falls back to the dict driver.
+        int64 set/tag/gap streams plus a uint8 write stream, built per
+        kernel replay and owned by the caller, who must hold them until
+        the C call that reads them returns.  Nothing is memoized on the
+        decode, so a cached trace costs no array memory.  ``None`` when
+        numpy is absent or a stream exceeds int64 -- the kernel layer
+        then falls back to the dict driver.
         """
         if np is None:
             return None
-        streams = self._np_streams
-        if streams is None:
-            try:
-                streams = (
-                    np.asarray(self.set_indices, dtype=np.int64),
-                    np.asarray(self.tags, dtype=np.int64),
-                    np.asarray(self.is_write, dtype=np.uint8),
-                    np.asarray(self.instr_gaps, dtype=np.int64),
-                )
-            except (OverflowError, TypeError, ValueError):
-                return None
-            self._np_streams = streams
-        return streams
+        try:
+            return (
+                np.asarray(self.set_indices, dtype=np.int64),
+                np.asarray(self.tags, dtype=np.int64),
+                np.asarray(self.is_write, dtype=np.uint8),
+                np.asarray(self.instr_gaps, dtype=np.int64),
+            )
+        except (OverflowError, TypeError, ValueError):
+            return None
 
-    def kernel_cycles(self, base_cpi: float) -> Optional["np.ndarray"]:
-        """Memoized float64 per-access cycle-cost array (timed kernels).
+    def kernel_cycles(
+        self, base_cpi: float, gaps: "Optional[np.ndarray]" = None
+    ) -> Optional["np.ndarray"]:
+        """Fresh float64 per-access cycle-cost array (timed kernels).
 
         Element ``i`` is ``instr_gaps[i] * base_cpi``, the identical IEEE
         double the timing model and the dict session compute per access.
-        ``None`` when numpy is absent or a gap exceeds int64 -- the
-        kernel layer then falls back to the dict driver.
+        ``gaps`` is this decode's int64 gap array when the caller already
+        holds one (from :meth:`kernel_streams`).  Owned by the caller, like
+        the streams.  ``None`` when numpy is absent or a gap exceeds int64
+        -- the kernel layer then falls back to the dict driver.
         """
         if np is None:
             return None
-        cached = self._np_cycles.get(base_cpi)
-        if cached is None:
+        if gaps is None:
             try:
                 gaps = np.asarray(self.instr_gaps, dtype=np.int64)
             except (OverflowError, TypeError, ValueError):
                 return None
-            cached = gaps * float(base_cpi)
-            self._np_cycles[base_cpi] = cached
-        return cached
+        return gaps * float(base_cpi)
 
     def with_core_offset(
         self, core: int, address_stride: int, pc_stride: int
@@ -130,8 +127,6 @@ class DecodedTrace:
         offset touches only the tag bits: set indices, write flags and
         instruction gaps are *shared* with this decode (same list
         objects), only the tag (and PC) streams are re-materialized.
-        The memoized kernel cycle-cost arrays are shared too, so N cores
-        replaying one trace decode and derive them once.
         """
         tag_granularity = 1 << (self.offset_bits + self.index_bits)
         if address_stride % tag_granularity:
@@ -146,7 +141,7 @@ class DecodedTrace:
             return self
         tags = _offset_stream(self.tags, tag_offset)
         pcs = _offset_stream(self.pcs, pc_offset) if pc_offset else self.pcs
-        view = DecodedTrace(
+        return DecodedTrace(
             self.set_indices,
             tags,
             self.is_write,
@@ -156,10 +151,6 @@ class DecodedTrace:
             self.index_bits,
             name=f"{self.name}@core{core}",
         )
-        # The cycle-cost arrays depend only on the shared gap stream;
-        # the set/tag kernel streams differ per view and stay per-view.
-        view._np_cycles = self._np_cycles
-        return view
 
     @property
     def geometry_key(self) -> GeometryKey:

@@ -119,6 +119,17 @@ class TestKeys:
         assert len(code_version()) == 16
         assert code_version() == code_version()
 
+    def test_code_version_hashes_the_native_kernel_source(self):
+        from repro.engine.keys import hashed_sources
+
+        sources = hashed_sources()
+        assert "kernels/native_src.c" in sources
+        assert "kernels/runner.py" in sources and "sim/spec.py" in sources
+        assert not any(
+            rel.startswith(("engine/", "service/")) or rel == "cli.py"
+            for rel in sources
+        )
+
 
 class TestResultStore:
     def test_round_trip_equals_in_memory(self, tmp_path):

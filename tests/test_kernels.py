@@ -199,8 +199,34 @@ class TestKernelConformance:
             llc_lines=256, warmup_factor=2, measure_factor=6, seed=7
         )
         base = dict(workload="mcf", policy=policy, mode=mode, scale=scale)
-        ref = simulate(SimulationSpec(**base))
+        ref = simulate(SimulationSpec(**base, kernel="dict"))
         kern = simulate(SimulationSpec(**base, kernel="native"))
+        assert kern == ref
+
+    @needs_native
+    @pytest.mark.parametrize("policy", ("lru", "rwp"))
+    def test_multicore_mix_on_fresh_views(self, policy):
+        # Every array the lanes point into (streams, cycle costs, write
+        # rings) is built for this one replay and memoized nowhere, so
+        # the kernel reads valid data only while the runtime holds each
+        # of them across the C call.
+        from repro.common.config import default_hierarchy
+        from repro.multicore.shared import SharedLLCSystem
+        from repro.trace.workload import workload_trace
+
+        llc_lines, accesses, warmup = 256, 6144, 1024
+        traces = [
+            workload_trace(bench, llc_lines, accesses, 11 + core)
+            for core, bench in enumerate(("mcf", "soplex", "lbm", "omnetpp"))
+        ]
+        config = default_hierarchy(llc_size=4 * llc_lines * 64, llc_ways=16)
+        results = []
+        for kernel in ("dict", "native"):
+            system = SharedLLCSystem(config, 4, policy)
+            attach_kernel(system, kernel)
+            results.append(system.run(traces, warmup=warmup))
+        assert system.llc.kernel.fallback_reason is None
+        ref, kern = results
         assert kern == ref
 
 
@@ -234,6 +260,48 @@ class TestKernelFallback:
         finally:
             monkeypatch.delenv("REPRO_NO_NATIVE")
             reset_native_cache()
+
+    @pytest.fixture
+    def degraded(self, monkeypatch, tmp_path):
+        """Apply one way of making the native kernel unavailable."""
+
+        def apply(how):
+            if how == "no-native":
+                monkeypatch.setenv("REPRO_NO_NATIVE", "1")
+            else:  # a kernel cache directory under a regular file
+                blocker = tmp_path / "not-a-dir"
+                blocker.write_text("")
+                monkeypatch.setenv("REPRO_KERNEL_CACHE", str(blocker / "k"))
+            reset_native_cache()
+
+        yield apply
+        reset_native_cache()
+
+    @pytest.mark.parametrize(
+        "how, kind", [("no-native", "disabled"), ("bad-cache", "cache-dir")]
+    )
+    def test_unavailable_native_degrades_auto_with_one_line(
+        self, how, kind, degraded, capsys
+    ):
+        from repro.kernels import load_failure, load_native
+        from repro.sim.spec import last_kernel_info
+
+        scale = ExperimentScale(
+            llc_lines=256, warmup_factor=2, measure_factor=4, seed=7
+        )
+        ref = simulate(SimulationSpec("mcf", "rwp", scale=scale, kernel="dict"))
+        capsys.readouterr()
+        degraded(how)
+        assert load_native() is None
+        assert load_failure().kind == kind
+        assert simulate(SimulationSpec("mcf", "rwp", scale=scale)) == ref
+        # A second degraded runtime in the same process stays quiet.
+        simulate(SimulationSpec("mcf", "lru", scale=scale))
+        info = last_kernel_info()
+        assert info["backend"] is None and kind in info["fallback"]
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1, err
+        assert "'auto'" in err and kind in err
 
     def test_attach_dict_detaches(self):
         config = _config(16, 4)
@@ -337,7 +405,8 @@ class TestKernelSpec:
         assert spec.name == "native" and spec.kwargs == ()
         assert str(spec) == "native" == spec.key()
         assert KernelSpec.coerce(spec) is spec
-        assert KernelSpec.coerce("dict").is_default
+        assert KernelSpec.coerce("auto").is_default
+        assert not KernelSpec.coerce("dict").is_default
         assert not KernelSpec.make("native").is_default
         assert KernelSpec.from_dict(spec.to_dict()) == spec
 
@@ -355,26 +424,64 @@ class TestKernelSpec:
 
 
 class TestStoreKeying:
-    """Default kernel is omitted from payloads; non-default re-keys."""
+    """The kernel is out of job identity: every kernel shares one key."""
+
+    #: ``RunJob("mcf", "lru", ExperimentScale(llc_lines=256))`` as the
+    #: store keyed it while ``dict`` was the default kernel.
+    PARENT_DEFAULT_PAYLOAD = {
+        "kind": "run",
+        "benchmark": "mcf",
+        "policy": "lru",
+        "scale": {
+            "llc_lines": 256,
+            "ways": 16,
+            "warmup_factor": 8,
+            "measure_factor": 32,
+            "seed": 2014,
+        },
+        "geometry": {"llc_lines": 256, "ways": 16},
+    }
 
     def test_runjob_payload_omits_default_kernel(self):
         scale = ExperimentScale(llc_lines=256)
-        default = RunJob("mcf", "lru", scale)
-        assert "kernel" not in default.payload()
-        native = RunJob("mcf", "lru", scale, kernel="native")
-        assert native.payload()["kernel"] == "native"
-        assert native.key() != default.key()
-        assert "~native" in native.label
-        assert "~" not in default.label
+        jobs = [
+            RunJob("mcf", "lru", scale, kernel=kernel)
+            for kernel in ("dict", "native", "auto")
+        ]
+        assert RunJob("mcf", "lru", scale).kernel == "auto"
+        for job in jobs:
+            assert job.payload() == self.PARENT_DEFAULT_PAYLOAD
+            assert job.key() == jobs[0].key()
+            assert job.label == "mcf/lru"
+
+    def test_mixjob_payload_is_kernel_free(self):
+        from repro.engine.jobs import MixJob
+
+        scale = ExperimentScale(llc_lines=256)
+        jobs = [
+            MixJob("mix4x01", "rwp", scale, kernel=kernel)
+            for kernel in ("dict", "native", "auto")
+        ]
+        parent_default_payload = {
+            "kind": "mix",
+            "mix": "mix4x01",
+            "policy": "rwp",
+            "per_core": self.PARENT_DEFAULT_PAYLOAD["scale"],
+            "num_cores": 4,
+        }
+        for job in jobs:
+            assert job.payload() == parent_default_payload
+            assert job.key() == jobs[0].key()
+            assert job.label == "mix4x01/rwp"
 
     def test_spec_label_and_key(self):
         spec = SimulationSpec("mcf", "lru", kernel="native")
         assert spec.kernel_key == "native"
-        assert not spec.uses_default_kernel
-        assert "~native" in spec.label
-        default = SimulationSpec("mcf", "lru")
-        assert default.uses_default_kernel
-        assert "~" not in default.label
+        assert SimulationSpec("mcf", "lru").kernel_spec.is_default
+        for kernel in ("dict", "native", "auto"):
+            assert SimulationSpec("mcf", "lru", kernel=kernel).label == (
+                "llc:mcf/lru"
+            )
 
     def test_system_fuzz_job_keying(self):
         from repro.verify.system import SystemFuzzJob

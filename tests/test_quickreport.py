@@ -74,3 +74,14 @@ class TestCLIReport:
         assert code == 0
         assert out.exists()
         assert "wrote" in capsys.readouterr().out
+
+    def test_report_is_identical_under_every_kernel(self, capsys):
+        # The kernel axis of the report's determinism: the reference
+        # dict driver and the default kernel render the same bytes.
+        tiny = ["--llc-lines", "128", "--accesses", "2048", "--no-store"]
+        outputs = []
+        for kernel in (["--kernel", "dict"], []):
+            assert main(["report", *tiny, *kernel]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert "# RWP reproduction" in outputs[0]
+        assert outputs[0] == outputs[1]
